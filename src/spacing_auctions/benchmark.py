@@ -23,13 +23,19 @@ Two solution paths exist on purpose:
 
 * ``build_occupancy_lp`` + ``simplex.solve_lp``: the generic dense route,
   kept as a cross-check in the test suite.
-* ``solve_occupancy_problem``: a revised primal simplex with Bland's rule
-  that prices columns from the (state, action) structure without ever
-  materializing the constraint matrix.  Same algorithm, orders of magnitude
-  faster on the wide LPs the online learner solves per epoch.
+* ``solve_occupancy_problem``: a revised primal simplex that prices
+  columns from the (state, action) structure without ever materializing the
+  constraint matrix.  Its ratio test reads round-off negative basic values
+  as zero, and ties leave by the largest pivot entry (the smallest basis id
+  once it falls back to Bland's rule).  Same algorithm, orders of magnitude
+  faster on the wide LPs the online learner solves per epoch; the solution
+  carries its basis and basic values x_B.
   ``verify_basis`` re-checks a stored basis against fresh coefficients,
   letting the learner keep its policy when it is still optimal instead of
   re-pivoting from scratch.
+
+``state_mixtures`` is the one rule turning occupancy mass into per-state
+mixtures, for ``policy_from_occupancy`` and the learner's per-epoch sampler.
 """
 
 from __future__ import annotations
@@ -56,6 +62,7 @@ from .rewards import RewardFn, eval_r, eval_r_capped
 from .simplex import LinearProgram
 
 _MASS_TOL = 1e-12
+Mixture = tuple[list[float], list[float]]  # (multipliers, weights) of one state
 _MAX_PIVOTS = 100_000
 _ROW_STRUCT_CACHE: dict[int, tuple] = {}
 
@@ -153,7 +160,8 @@ class OccupancyProblem:
         return base + action
 
 
-def _reward_vector(reward: RewardFn, m: int) -> np.ndarray:
+def reward_vector(reward: RewardFn, m: int) -> np.ndarray:
+    """The capped rewards r_m(1..m)."""
     return np.array([eval_r_capped(reward, l, m) for l in range(1, m + 1)])
 
 
@@ -182,7 +190,7 @@ def occupancy_problem(
         mus=mus,
         w=np.asarray(w, dtype=float),
         p=np.asarray(p, dtype=float),
-        r=_reward_vector(reward, m) if r_vec is None else r_vec,
+        r=reward_vector(reward, m) if r_vec is None else r_vec,
         bid1_at_m=bid1_at_m,
         bid1_idx=int(zero[0]),
         skip_idx=int(skip[0]),
@@ -329,6 +337,7 @@ class OccupancySolution:
     budget_used: float
     q: dict[tuple[int, int], float]   # (state, action index) -> mass
     basis: tuple[int, ...]
+    x_b: np.ndarray = field(repr=False, compare=False)  # basic values, clipped at 0
 
 
 def _solution_from_basis(
@@ -347,7 +356,7 @@ def _solution_from_basis(
         for s, i, v in zip(states.tolist(), actions.tolist(), vals.tolist()):
             key = (s, i)
             q[key] = q.get(key, 0.0) + v
-    return OccupancySolution(float(obj), float(pay), q, tuple(basis))
+    return OccupancySolution(float(obj), float(pay), q, tuple(basis), x_b)
 
 
 def verify_basis_values(
@@ -377,12 +386,6 @@ def verify_basis_values(
     d[ids] = -np.inf
     if d.max() > dual_tol:
         return None
-    return np.maximum(x_b, 0.0)
-
-
-def basis_values(prob: OccupancyProblem, basis: Sequence[int]) -> np.ndarray:
-    """x_B of a feasible basis (clipped at zero)."""
-    x_b = np.linalg.solve(_basis_matrix(prob, basis), _rhs(prob))
     return np.maximum(x_b, 0.0)
 
 
@@ -432,6 +435,25 @@ def _crash_bases(prob: OccupancyProblem) -> list[list[int]]:
         bases.append(_chain_basis(prob, int(feas[np.argmax(values)])))
     bases.append(_chain_basis(prob, prob.skip_idx))
     return bases
+
+
+def _ratio_test(x_b: np.ndarray, direction: np.ndarray, basis_arr: np.ndarray, bland: bool) -> int:
+    """Leaving position of the minimum-ratio test (-1: no positive entry).
+
+    Ties leave by the largest pivot entry: in a degenerate step a tiny tied
+    entry can be round-off of a zero, and pivoting on it leaves the basis
+    singular.  Bland's rule takes the smallest basis id, keeping termination.
+    Round-off negative basic values count as zero, so one over a tiny entry
+    cannot undercut the ties at zero.
+    """
+    rows = np.nonzero(direction > 1e-9)[0]
+    if rows.size == 0:
+        return -1
+    ratios = np.maximum(x_b[rows], 0.0) / direction[rows]
+    tie = rows[ratios <= ratios.min() + 1e-15]
+    if bland:
+        return int(tie[np.argmin(basis_arr[tie])])
+    return int(tie[np.argmax(direction[tie])])
 
 
 def _simplex_loop(
@@ -484,12 +506,9 @@ def _simplex_loop(
             x_b = np.maximum(b_inv @ b, 0.0)
             refactor_left = 64
             direction = b_inv @ a_j
-        rows = np.nonzero(direction > 1e-9)[0]
-        if rows.size == 0:
+        leave = _ratio_test(x_b, direction, basis_arr, bland)
+        if leave < 0:
             raise RuntimeError("occupancy LP unbounded; the mass row should prevent this")
-        ratios = x_b[rows] / direction[rows]
-        tie = rows[ratios <= ratios.min() + 1e-15]
-        leave = int(tie[np.argmin(basis_arr[tie])])
         piv = float(direction[leave])
         if abs(piv) < 1e-7:
             # numerically unreliable pivot: refresh the factorization and
@@ -500,12 +519,9 @@ def _simplex_loop(
             direction = b_inv @ a_j
             if float(direction[leave]) < 1e-9:
                 continue
-            rows = np.nonzero(direction > 1e-9)[0]
-            if rows.size == 0:
+            leave = _ratio_test(x_b, direction, basis_arr, bland)
+            if leave < 0:
                 raise RuntimeError("occupancy LP unbounded after refresh")
-            ratios = x_b[rows] / direction[rows]
-            tie = rows[ratios <= ratios.min() + 1e-15]
-            leave = int(tie[np.argmin(basis_arr[tie])])
             piv = float(direction[leave])
             if abs(piv) < 1e-9:
                 continue
@@ -694,33 +710,39 @@ def build_occupancy_lp(
     return LinearProgram(c=c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub)
 
 
-def policy_from_occupancy(prob: OccupancyProblem, q: dict[tuple[int, int], float]) -> PolicyVec:
-    """Normalize occupancy mass into per-state mixtures.
+def state_mixtures(
+    prob: OccupancyProblem, states: Sequence[int], actions: Sequence[int], masses: Sequence[float]
+) -> list[Mixture]:
+    """Normalize occupancy mass into per-state (mus, weights) mixtures.
 
-    States whose occupancy falls below the reachability cutoff carry no
-    information of their own; they inherit the nearest earlier reachable
-    state's mixture (or the first reachable one, when the solution parks all
-    mass beyond them).  This constant continuation keeps solved win curves
-    weakly increasing where a skip default would drop them to zero, and the
-    inherited states are visited too rarely for the choice to affect value
-    or spending materially.  State m stays pinned to bid-1 when forced.
+    Column (states[j], actions[j]) carries mass masses[j]; mass at or below
+    1e-12 is dropped, and a state's multipliers ascend, each weighted by its
+    share of the state's mass.  States without mass carry no information of
+    their own; they inherit the nearest earlier reachable state's mixture (or
+    the first reachable one, when the solution parks all mass beyond them).
+    This constant continuation keeps solved win curves weakly increasing
+    where a skip default would drop them to zero, and the inherited states
+    are visited too rarely for the choice to affect value or spending
+    materially.  State m stays pinned to bid-1 when forced.
     """
-    by_state: dict[int, list[tuple[int, float]]] = {}
-    for (s, i), v in q.items():
+    by_state: dict[int, list[tuple[float, float]]] = {}
+    mus_all = prob.mus
+    for s, a, v in zip(
+        np.asarray(states).tolist(), np.asarray(actions).tolist(), np.asarray(masses).tolist()
+    ):
         if v > _MASS_TOL:
-            by_state.setdefault(s, []).append((i, v))
-    per_state: list[Optional[tuple[tuple[float, float], ...]]] = []
+            by_state.setdefault(s, []).append((float(mus_all[a]), v))
+    per_state: list[Optional[Mixture]] = []
     for state in range(1, prob.m + 1):
-        entries = by_state.get(state, [])
-        total = sum(v for _, v in entries)
-        if total <= _MASS_TOL:
+        entries = by_state.get(state)
+        if not entries:
             per_state.append(None)
             continue
-        mix = sorted(((float(prob.mus[i]), v / total) for i, v in entries), key=lambda t: t[0])
-        norm = sum(wt for _, wt in mix)
-        per_state.append(tuple((mu, wt / norm) for mu, wt in mix))
+        entries.sort()
+        total = sum(v for _, v in entries)
+        per_state.append(([mu for mu, _ in entries], [v / total for _, v in entries]))
     if all(m is None for m in per_state):
-        per_state = [((SKIP, 1.0),)] * prob.m
+        per_state = [([SKIP], [1.0])] * prob.m
     else:
         first = next(i for i, m in enumerate(per_state) if m is not None)
         for i in range(first):
@@ -729,8 +751,21 @@ def policy_from_occupancy(prob: OccupancyProblem, q: dict[tuple[int, int], float
             if per_state[i] is None:
                 per_state[i] = per_state[i - 1]
     if prob.bid1_at_m:
-        per_state[-1] = ((0.0, 1.0),)
-    return PolicyVec(prob.m, tuple(per_state), bid1_at_m=prob.bid1_at_m)
+        per_state[-1] = ([0.0], [1.0])
+    return per_state
+
+
+def policy_from_mixtures(prob: OccupancyProblem, mixtures: list[Mixture]) -> PolicyVec:
+    """The policy playing `state_mixtures` output."""
+    states = tuple(tuple(zip(mus, wts)) for mus, wts in mixtures)
+    return PolicyVec(prob.m, states, bid1_at_m=prob.bid1_at_m)
+
+
+def policy_from_occupancy(prob: OccupancyProblem, q: dict[tuple[int, int], float]) -> PolicyVec:
+    """Per-state mixtures of the occupancy q[(state, action index)]."""
+    keys = list(q)
+    mixtures = state_mixtures(prob, [s for s, _ in keys], [i for _, i in keys], list(q.values()))
+    return policy_from_mixtures(prob, mixtures)
 
 
 def solve_benchmark(

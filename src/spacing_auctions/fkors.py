@@ -26,27 +26,43 @@ against the updated empirical curves (primal feasibility and reduced costs
 within ``reuse_tolerance``), re-pivoting from scratch only when no cached
 basis certifies.  Every epoch therefore plays a mixture that is optimal for
 its own empirical program up to ``reuse_tolerance`` per round.
+
+The planner keeps no copy of a rule another module owns: the empirical
+curves use the market module's candidate rule and suffix sums, a cold solve
+returns its basic values with its basis, and ``benchmark.state_mixtures``
+turns the plan's occupancy mass into the per-state mixtures the sampler
+draws from.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
 
 from .benchmark import (
+    Mixture,
     OccupancyProblem,
-    basis_values,
     cycle_stats_wp,
     occupancy_problem,
-    policy_from_occupancy,
+    policy_from_mixtures,
+    reward_vector,
     solve_benchmark,
     solve_occupancy_problem,
+    state_mixtures,
     verify_basis_values,
 )
-from .market import SKIP, MarketDistribution, bid_for
+from .market import (
+    MarketDistribution,
+    bid_for,
+    candidate_set,
+    curve_positions,
+    ratio_order,
+    suffix_sums,
+)
 from .records import EpochDiagnostic, EpochEntry, RoundEntry, RunRecord
 from .rewards import RewardFn, eval_r, eval_r_capped
 from .rng import SplitMix64
@@ -76,7 +92,6 @@ class FkorsConfig:
     m: int
     k: int
     bid1_at_m: bool = True
-    c_bar_mode: str = "known"          # "known" | "lower_bound"
     c_bar: Optional[float] = None      # the value the defaults were built from
     quantization_grid: int = 1000      # Q; 0 disables
     quantize_threshold: int = 2000     # distinct samples before quantizing
@@ -94,27 +109,23 @@ class FkorsConfig:
             raise ValueError("k must be >= 1")
         if self.quantization_grid < 0:
             raise ValueError("quantization grid must be >= 0")
-        if self.c_bar_mode not in ("known", "lower_bound"):
-            raise ValueError(f"unknown c_bar_mode {self.c_bar_mode!r}")
         if self.reuse_tolerance < 0.0:
             raise ValueError("reuse tolerance must be >= 0")
 
     @classmethod
-    def from_defaults(
-        cls, rho: float, T: int, c_bar: float, c_bar_mode: str = "known", **kw
-    ) -> "FkorsConfig":
+    def from_defaults(cls, rho: float, T: int, c_bar: float, **kw) -> "FkorsConfig":
         m, k = default_params(T, rho, c_bar)
-        return cls(rho=rho, T=T, m=m, k=k, c_bar_mode=c_bar_mode, c_bar=c_bar, **kw)
+        return cls(rho=rho, T=T, m=m, k=k, c_bar=c_bar, **kw)
 
 
 class _EmpiricalCurves:
     """Incrementally maintained empirical action curves.
 
-    Distinct (p, c) pairs are kept sorted by the ratio c/p (inf for p = 0);
-    candidate multipliers and searchsorted positions only change when a new
-    pair appears, while the suffix sums behind W and P are three short vector
-    operations per epoch.  Pairs are snapped to the 1/Q lattice once the
-    distinct count passes the threshold.
+    Distinct (p, c) pairs are kept in the market's ratio order; candidate
+    multipliers and their suffix-sum positions only change when a new pair
+    appears, while the suffix sums behind W and P are recomputed per epoch
+    from the sample counts, all with the market module's rules.  Pairs are
+    snapped to the 1/Q lattice once the distinct count passes the threshold.
     """
 
     def __init__(self, grid: int, threshold: int):
@@ -160,20 +171,12 @@ class _EmpiricalCurves:
         pairs = sorted(self.counts.keys())
         p = np.array([pc[0] for pc in pairs])
         c = np.array([pc[1] for pc in pairs])
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            ratio = np.where(p > 0.0, c / p, math.inf)
-        order = np.argsort(ratio, kind="stable")
+        order, ratio = ratio_order(p, c)
         self._pairs = [pairs[i] for i in order]
         self._p = p[order]
         self._c = c[order]
-        self._ratio = ratio[order]
-        ratios = np.unique(self._ratio[(self._p > 0.0) & (self._c > 0.0)])
-        extra = []
-        if np.any((self._p == 0.0) & (self._c > 0.0)) and np.any(self._p > 0.0):
-            extra.append(2.0 * float(ratios[-1]) if ratios.size else 1.0)
-        self._cands = np.unique(np.array([0.0, *ratios.tolist(), *extra, math.inf]))
-        finite = self._cands[np.isfinite(self._cands)]
-        self._positions = np.searchsorted(self._ratio, finite, side="left")
+        self._cands = candidate_set(self._p, self._c)
+        self._positions = curve_positions(ratio, self._cands)
         self._slot = {pc: i for i, pc in enumerate(self._pairs)}
         self._count_vec = np.fromiter(
             (self.counts[pc] for pc in self._pairs), dtype=float, count=len(self._pairs)
@@ -187,16 +190,8 @@ class _EmpiricalCurves:
             raise ValueError("no samples recorded yet")
         if self._stale:
             self._rebuild()
-        probs = self._count_vec / self.n
-        # clamp: cumulative rounding must not push the sums outside [0, 1]
-        wc = np.clip(np.concatenate((np.cumsum((probs * self._c)[::-1])[::-1], [0.0])), 0.0, 1.0)
-        wp = np.clip(np.concatenate((np.cumsum((probs * self._p)[::-1])[::-1], [0.0])), 0.0, 1.0)
-        n_fin = self._positions.shape[0]
-        w = np.zeros(self._cands.shape[0])
-        p = np.zeros(self._cands.shape[0])
-        w[:n_fin] = wc[self._positions]
-        p[:n_fin] = wp[self._positions]
-        return self._cands, w, p
+        wc, wp = suffix_sums(self._count_vec / self.n, self._p, self._c)
+        return self._cands, wc[self._positions], wp[self._positions]
 
 
 class _EpochPlanner:
@@ -218,9 +213,7 @@ class _EpochPlanner:
         self.cache: list[dict] = []  # {"labels", "ids", "version", decoded arrays}
         self.cold_solves = 0
         self.reuses = 0
-        self.prob: Optional[OccupancyProblem] = None
-        self.last: Optional[tuple] = None
-        self._r_vec: Optional[np.ndarray] = None
+        self._r_vec = reward_vector(reward, cfg.m)
         self._d_buf: Optional[np.ndarray] = None
 
     @staticmethod
@@ -256,14 +249,10 @@ class _EpochPlanner:
 
     def plan(
         self, curves: tuple[np.ndarray, np.ndarray, np.ndarray], version: int
-    ) -> tuple[OccupancyProblem, np.ndarray, np.ndarray, np.ndarray, float, float]:
+    ) -> tuple[OccupancyProblem, np.ndarray, np.ndarray, np.ndarray]:
         """Plan for the coming epoch; returns (problem, states, actions,
-        masses, objective, payment) with one entry per active basis column."""
+        masses) with one entry per structural basis column."""
         cands, w, p = curves
-        if self._r_vec is None:
-            self._r_vec = np.array(
-                [eval_r_capped(self.reward, l, self.cfg.m) for l in range(1, self.cfg.m + 1)]
-            )
         prob = occupancy_problem(
             (cands, w, p), self.reward, self.cfg.m, self.cfg.rho, self.cfg.bid1_at_m,
             r_vec=self._r_vec,
@@ -316,65 +305,23 @@ class _EpochPlanner:
             self._decorate(entry, prob)
             self.cache.insert(0, entry)
             del self.cache[self._CACHE:]
-            x_b = basis_values(prob, entry["ids_arr"])
+            x_b = sol.x_b
         else:
             self.reuses += 1
             self.cache.insert(0, self.cache.pop(hit))
-        struct = entry["struct"]
-        masses = x_b[struct]
-        states = entry["states"]
-        actions = entry["actions"]
-        objective = float(np.dot(prob.r[states - 1] * prob.w[actions], masses))
-        payment = float(np.dot(prob.p[actions], masses))
-        self.prob = prob
-        self.last = (states, actions, masses, objective, payment)
-        return prob, states, actions, masses, objective, payment
+        return prob, entry["states"], entry["actions"], x_b[entry["struct"]]
 
 
-def _sampler_from_arrays(
-    prob: OccupancyProblem,
-    states: np.ndarray,
-    actions: np.ndarray,
-    masses: np.ndarray,
-) -> list[tuple[list[float], list[float]]]:
-    """Per-state (mus, cumulative weights) for fast action draws.
-
-    Mirrors policy_from_occupancy: states without occupancy mass inherit the
-    nearest reachable state's mixture, and state m is pinned to bid 1 when
-    the plan forces it."""
-    by_state: dict[int, list[tuple[float, float]]] = {}
-    mus_all = prob.mus
-    for s, a, v in zip(states.tolist(), actions.tolist(), masses.tolist()):
-        if v > 1e-12:
-            by_state.setdefault(s, []).append((float(mus_all[a]), v))
-    built: list[Optional[tuple[list[float], list[float]]]] = []
-    for s in range(1, prob.m + 1):
-        entries = by_state.get(s)
-        if not entries:
-            built.append(None)
-            continue
-        entries.sort()
-        total = sum(v for _, v in entries)
-        mus = [mu for mu, _ in entries]
-        cums = []
-        acc = 0.0
-        for _, v in entries:
-            acc += v / total
-            cums.append(acc)
-        cums[-1] = 1.0
-        built.append((mus, cums))
-    if all(e is None for e in built):
-        built = [([SKIP], [1.0])] * prob.m
-    else:
-        first = next(i for i, e in enumerate(built) if e is not None)
-        for i in range(first):
-            built[i] = built[first]
-        for i in range(first + 1, prob.m):
-            if built[i] is None:
-                built[i] = built[i - 1]
-    if prob.bid1_at_m:
-        built[-1] = ([0.0], [1.0])
-    return built
+def _sampler(mixtures: list[Mixture]) -> list[Mixture]:
+    """Per-state (mus, cumulative weights) for fast action draws; the last
+    cumulative weight is exactly 1, as a lone weight already is."""
+    sampler = []
+    for mus, wts in mixtures:
+        if len(wts) > 1:
+            wts = list(accumulate(wts))
+            wts[-1] = 1.0
+        sampler.append((mus, wts))
+    return sampler
 
 
 def run_fkors(
@@ -402,7 +349,6 @@ def run_fkors(
             "m": m,
             "k": k,
             "bid1_at_m": cfg.bid1_at_m,
-            "c_bar_mode": cfg.c_bar_mode,
             "c_bar": cfg.c_bar,
             "quantization_grid": cfg.quantization_grid,
             "reuse_tolerance": cfg.reuse_tolerance,
@@ -422,26 +368,19 @@ def run_fkors(
     fake = 1
     epoch = 0
     epoch_start = 0          # rounds before this epoch
-    sampler: list[tuple[list[float], list[float]]] = []
+    sampler: list[Mixture] = []
     eval_true = eval_r
     uniform = rng.uniform
 
     t = 0
     while t < T:
         if epoch >= 1 and t == epoch_start:
-            prob, p_states, p_actions, p_masses, _, _ = planner.plan(
-                curves.curves(), curves.version
-            )
-            sampler = _sampler_from_arrays(prob, p_states, p_actions, p_masses)
+            prob, p_states, p_actions, p_masses = planner.plan(curves.curves(), curves.version)
+            mixtures = state_mixtures(prob, p_states, p_actions, p_masses)
+            sampler = _sampler(mixtures)
             fake = 1
             if diags is not None:
-                q = {
-                    (int(s), int(a)): float(v)
-                    for s, a, v in zip(p_states, p_actions, p_masses)
-                    if v > 1e-12
-                }
-                policy = policy_from_occupancy(prob, q)
-                w_vec, p_vec = policy.action_curves(market)
+                w_vec, p_vec = policy_from_mixtures(prob, mixtures).action_curves(market)
                 stats = cycle_stats_wp(w_vec, p_vec, reward, m)
                 r_avg = 0.0 if stats.degenerate else stats.reward_avg
                 c_avg = 0.0 if stats.degenerate else stats.pay_avg

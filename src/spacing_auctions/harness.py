@@ -274,6 +274,15 @@ def _probe_payload(payload: dict) -> dict:
     }
 
 
+def _map_jobs(fn, jobs: list[dict], workers: int) -> list:
+    """fn over jobs, results in job order; with more than one worker and
+    more than one job they run in a process pool of `workers`."""
+    if workers > 1 and len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, jobs))
+    return [fn(j) for j in jobs]
+
+
 def run_batch(
     config_doc: dict, algorithm: str, seeds: Sequence[int], workers: int = 1
 ) -> list[dict]:
@@ -297,11 +306,7 @@ def run_batch_groups(
                  "group": g}
             )
     jobs.sort(key=lambda j: -j["config"].get("T", 0))
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            stats = list(pool.map(_probe_payload, jobs))
-    else:
-        stats = [_probe_payload(j) for j in jobs]
+    stats = _map_jobs(_probe_payload, jobs, workers)
     out: list[list[dict]] = [[] for _ in groups]
     for job, st in zip(jobs, stats):
         out[job["group"]].append(st)
@@ -333,11 +338,7 @@ def run_experiment(
         for spec in cfg.algorithms
         for seed in cfg.seeds
     ]
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_one_payload, jobs))
-    else:
-        results = [_run_one_payload(j) for j in jobs]
+    results = _map_jobs(_run_one_payload, jobs, workers)
     results.sort(key=lambda r: (r[0], r[1]))
     rows = [row for _, _, row, _ in results]
     (out / "summary.csv").write_text("\n".join([SUMMARY_HEADER, *rows]) + "\n")

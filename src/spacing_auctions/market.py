@@ -47,8 +47,8 @@ class MarketDistribution:
     must total 1 within 1e-12.
     """
 
-    __slots__ = ("atoms", "_p", "_c", "_prob", "_cum", "_order", "_sorted_ratio",
-                 "_sorted_wc", "_sorted_wp")
+    __slots__ = ("atoms", "_p", "_c", "_prob", "_cum", "_sorted_ratio", "_sorted_wc",
+                 "_sorted_wp")
 
     def __init__(self, atoms: Iterable[MarketAtom]):
         merged: dict[tuple[float, float], float] = {}
@@ -68,19 +68,12 @@ class MarketDistribution:
         cum = np.cumsum(self._prob)
         cum[-1] = 1.0
         self._cum = cum.tolist()
-        # Atoms sorted by bid-through ratio c/p (inf for p == 0): suffix sums
-        # give W(mu) and P(mu) for any mu in O(log n).
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            ratio = np.where(self._p > 0.0, self._c / self._p, math.inf)
-        order = np.argsort(ratio, kind="stable")
-        self._order = order
-        self._sorted_ratio = ratio[order]
-        wc = (self._prob * self._c)[order]
-        wp = (self._prob * self._p)[order]
-        # suffix[i] = sum over atoms with ratio >= sorted_ratio[i]; cumulative
-        # rounding must not push the sums outside [0, 1]
-        self._sorted_wc = np.clip(np.concatenate((np.cumsum(wc[::-1])[::-1], [0.0])), 0.0, 1.0)
-        self._sorted_wp = np.clip(np.concatenate((np.cumsum(wp[::-1])[::-1], [0.0])), 0.0, 1.0)
+        # Atoms sorted by bid-through ratio c/p: suffix sums give W(mu) and
+        # P(mu) for any mu in O(log n).
+        order, self._sorted_ratio = ratio_order(self._p, self._c)
+        self._sorted_wc, self._sorted_wp = suffix_sums(
+            self._prob[order], self._p[order], self._c[order]
+        )
 
     @classmethod
     def from_tuples(cls, tuples: Sequence[tuple[float, float, float]]) -> "MarketDistribution":
@@ -101,6 +94,51 @@ class MarketDistribution:
         return a.p, a.c
 
 
+def ratio_order(p: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stable order sorting atoms by bid-through ratio c/p (inf for p = 0),
+    and the ratios in that order."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = np.where(p > 0.0, c / p, math.inf)
+    order = np.argsort(ratio, kind="stable")
+    return order, ratio[order]
+
+
+def suffix_sums(prob: np.ndarray, p: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """W and P suffix sums over ratio-sorted atoms: entry i sums prob*c (prob*p)
+    over atoms i.., the ones won when mu <= the i-th ratio, and a trailing 0
+    serves mu = inf.  Clipped: cumulative rounding must not leave [0, 1]."""
+    wc = np.clip(np.concatenate((np.cumsum((prob * c)[::-1])[::-1], [0.0])), 0.0, 1.0)
+    wp = np.clip(np.concatenate((np.cumsum((prob * p)[::-1])[::-1], [0.0])), 0.0, 1.0)
+    return wc, wp
+
+
+def curve_positions(sorted_ratio: np.ndarray, mus: np.ndarray) -> np.ndarray:
+    """Index into `suffix_sums` for each multiplier: the first atom whose
+    ratio is at least mu (ties win), and the trailing 0 for mu = inf."""
+    mus = np.asarray(mus, dtype=float)
+    finite = np.isfinite(mus)
+    idx = np.searchsorted(sorted_ratio, np.where(finite, mus, 0.0), side="left")
+    return np.where(finite, idx, sorted_ratio.shape[0])
+
+
+def candidate_set(p: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Sorted deduplicated {c/p : p > 0, c > 0} plus the endpoints 0 and inf.
+
+    Atoms with p = 0 are won by every finite multiplier and atoms with c = 0
+    never convert, so neither contributes a ratio.  When convertible
+    zero-price atoms coexist with priced atoms, one extra candidate above all
+    ratios represents "bid just above zero": it collects the free conversions
+    without paying for anything, an action skip cannot replicate.
+    """
+    useful = (p > 0.0) & (c > 0.0)
+    with np.errstate(over="ignore"):
+        ratios = c[useful] / p[useful]
+    extra = []
+    if np.any((p == 0.0) & (c > 0.0)) and np.any(p > 0.0):
+        extra.append(2.0 * float(ratios.max()) if ratios.size else 1.0)
+    return np.unique(np.array([0.0, *ratios.tolist(), *extra, math.inf]))
+
+
 def win_pay_mu(market: MarketDistribution, mu: float) -> tuple[float, float]:
     """(W, P) for multiplier mu: conversion mass and expected payment won.
 
@@ -117,30 +155,13 @@ def win_pay_mu(market: MarketDistribution, mu: float) -> tuple[float, float]:
 
 def win_pay_curve(market: MarketDistribution, mus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized win_pay_mu over an array of multipliers (inf allowed)."""
-    mus = np.asarray(mus, dtype=float)
-    finite = np.isfinite(mus)
-    idx = np.searchsorted(market._sorted_ratio, np.where(finite, mus, 0.0), side="left")
-    w = np.where(finite, market._sorted_wc[idx], 0.0)
-    p = np.where(finite, market._sorted_wp[idx], 0.0)
-    return w, p
+    idx = curve_positions(market._sorted_ratio, mus)
+    return market._sorted_wc[idx], market._sorted_wp[idx]
 
 
 def candidate_multipliers(market: MarketDistribution) -> np.ndarray:
-    """Sorted deduplicated {c/p : p > 0, c > 0} plus the endpoints 0 and inf.
-
-    Atoms with p = 0 are won by every finite multiplier and atoms with c = 0
-    never convert, so neither contributes a ratio.  When convertible
-    zero-price atoms coexist with priced atoms, one extra candidate above all
-    ratios represents "bid just above zero": it collects the free conversions
-    without paying for anything, an action skip cannot replicate.
-    """
-    ratios = [a.c / a.p for a in market.atoms if a.p > 0.0 and a.c > 0.0]
-    free_conversions = any(a.p == 0.0 and a.c > 0.0 for a in market.atoms)
-    priced = any(a.p > 0.0 for a in market.atoms)
-    extra = []
-    if free_conversions and priced:
-        extra.append(2.0 * max(ratios) if ratios else 1.0)
-    return np.unique(np.array([0.0, *ratios, *extra, math.inf]))
+    """The market's candidate multipliers; see `candidate_set`."""
+    return candidate_set(market._p, market._c)
 
 
 def mean_conversion(market: MarketDistribution) -> float:

@@ -8,6 +8,7 @@ import pytest
 from spacing_auctions.benchmark import (
     InfeasibleOccupancyError,
     BenchResult,
+    _ratio_test,
     CycleStats,
     OccupancyProblem,
     PolicyVec,
@@ -230,6 +231,18 @@ def test_opt_value_monotone_in_rho_and_m():
 
 # ---------------------------------------------------------------------------
 # verified basis reuse
+
+
+def test_ratio_test_reads_round_off_as_zero_and_breaks_ties_by_pivot():
+    # a round-off negative basic value over a tiny entry must not undercut
+    # the degenerate ties at zero; ties leave by the largest entry, or by
+    # the smallest basis id under Bland's rule
+    x_b = np.array([-1e-17, 0.0, 0.0, 0.5])
+    direction = np.array([2e-9, 0.25, 0.5, 1.0])
+    ids = np.array([4, 1, 9, 2])
+    assert _ratio_test(x_b, direction, ids, bland=False) == 2
+    assert _ratio_test(x_b, direction, ids, bland=True) == 1
+    assert _ratio_test(x_b, -direction, ids, bland=False) == -1
 
 
 def test_verify_basis_accepts_optimal_and_rejects_after_change():
