@@ -7,6 +7,10 @@ argument over a geometric spacing variable guarantees at least a (1 - 1/e)
 fraction of the optimal time-average reward.  This module finds the best
 static mixture, evaluates the closed forms used to sanity-check it, and
 simulates static and fixed-interval bidding under the hard budget guard.
+
+`_simulate` is the round loop of every simulator in the package: the
+static and fixed-interval runs pass it a bid rule, and FKORS passes a bid
+rule plus a per-round hook for its epoch bookkeeping.
 """
 
 from __future__ import annotations
@@ -197,27 +201,33 @@ _WIN_EPS = 1e-12  # ties survive the float round trip bid = c / (c/p)
 def _simulate(
     market: MarketDistribution,
     reward: RewardFn,
-    rho: float,
-    T: int,
     rng: SplitMix64,
+    record: RunRecord,
     choose_bid,
-    algorithm: str,
-    seed: int,
     trace: bool,
+    settle=None,
 ) -> RunRecord:
-    """Shared round loop: per round draw the atom, ask `choose_bid(t, c)` for
-    a bid (None = skip; only called when the budget guard passes), settle the
-    auction, and draw the conversion coin on wins.
+    """The round loop of every simulator, run for `record.T` rounds at budget
+    `record.rho * record.T`; fills and returns `record`.
+
+    Per round: draw the atom (p, c), ask `choose_bid(t, c)` for a bid (None =
+    skip; only called when the budget guard passes), settle the auction, and
+    draw the conversion coin on wins.  The optional hook `settle(t, p, c, gap,
+    conv)` then books the round for a learner and returns (epoch, planner
+    state, accounted reward) for the trace row and `utility_accounted`;
+    without it a round is epoch 0, its state the true gap, and the accounted
+    reward the true one.
 
     RNG order per round: atom draw, then whatever `choose_bid` consumes, then
-    one conversion coin if the auction was won."""
+    one conversion coin if the auction was won.  `settle` draws nothing."""
+    T = record.T
     if T < 1:
         raise ValueError("T must be >= 1")
-    budget = rho * T
-    record = RunRecord(algorithm=algorithm, seed=seed, T=T, rho=rho)
+    budget = record.rho * T
     rounds: Optional[list[RoundEntry]] = [] if trace else None
     spend = 0.0
     utility = 0.0
+    accounted = 0.0
     wins = 0
     conversions = 0
     last_conv = 0
@@ -240,12 +250,17 @@ def _simulate(
                 rew = eval_r(reward, gap)
                 utility += rew
                 last_conv = t
+        if settle is not None:
+            epoch, state, rew_acc = settle(t, p, c, gap, conv)
+            accounted += rew_acc
         if rounds is not None:
+            if settle is None:
+                epoch, state, rew_acc = 0, gap, rew
             rounds.append(
-                RoundEntry(t, 0, gap, gap, c, bid, p, win, conv, pay, rew, rew)
+                RoundEntry(t, epoch, state, gap, c, bid, p, win, conv, pay, rew, rew_acc)
             )
     record.utility_true = utility
-    record.utility_accounted = utility
+    record.utility_accounted = utility if settle is None else accounted
     record.spend = spend
     record.wins = wins
     record.conversions = conversions
@@ -279,7 +294,8 @@ def static_run(
             mu = mixture[0][0] if u < cut else mixture[1][0]
         return bid_for(mu, c)
 
-    return _simulate(market, reward, rho, T, rng, choose, "static", seed, trace)
+    record = RunRecord(algorithm="static", seed=seed, T=T, rho=rho)
+    return _simulate(market, reward, rng, record, choose, trace)
 
 
 def fixed_interval_run(
@@ -300,4 +316,5 @@ def fixed_interval_run(
         return 1.0 if (t - 1) % period == 0 else None
 
     name = "always_one" if period == 1 else "fixed_interval"
-    return _simulate(market, reward, rho, T, rng, choose, name, seed, trace)
+    record = RunRecord(algorithm=name, seed=seed, T=T, rho=rho)
+    return _simulate(market, reward, rng, record, choose, trace)

@@ -785,13 +785,7 @@ def solve_benchmark(
     prob = occupancy_problem((actions, w, p), reward, m, rho, bid1_at_m)
     sol = solve_occupancy_problem(prob, tol)
     policy = policy_from_occupancy(prob, sol.q)
-    win_vec = np.zeros(m)
-    pay_vec = np.zeros(m)
-    for l, mix in enumerate(policy.states):
-        for mu, wt in mix:
-            i = int(np.searchsorted(actions, mu))
-            win_vec[l] += wt * prob.w[i]
-            pay_vec[l] += wt * prob.p[i]
+    win_vec, pay_vec = policy.action_curves(market)
     occupancy = {(s, float(prob.mus[i])): v for (s, i), v in sol.q.items()}
     return BenchResult(
         policy=policy,

@@ -14,11 +14,16 @@ previous epoch ended without a conversion, so the true gap is always at
 least the fake gap and the realized reward r(true gap) dominates the
 accounted reward r_m(fake gap) the plan was optimized for.
 
-RNG consumption is fixed so a run is reproducible from its seed alone:
-each round draws (1) the market atom, then (2) one mixture uniform whenever
-the policy is consulted (that is, when the budget guard passes; also for
-single-action mixtures), then (3) one conversion uniform if the auction was
-won.  Nothing else consumes randomness.
+Rounds run in the baselines' round loop (``baselines._simulate``), which
+owns the auction, the budget guard, the conversion coin and the trace rows;
+FKORS supplies its bid rule and a per-round hook that records the sample,
+moves the epoch and planner state on, and plans the next epoch at the end
+of the round before it starts.  RNG consumption is therefore the loop's, so
+a run is reproducible from its seed alone: each round draws (1) the market
+atom, then (2) one mixture uniform whenever the policy is consulted (after
+the warm-up, when the budget guard passes; also for single-action
+mixtures), then (3) one conversion uniform if the auction was won.
+Planning draws nothing.
 
 Per-epoch plan reuse: consecutive epochs solve almost identical programs, so
 the planner keeps a small cache of recently optimal bases and re-checks them
@@ -43,6 +48,7 @@ from typing import Optional
 
 import numpy as np
 
+from .baselines import _simulate
 from .benchmark import (
     Mixture,
     OccupancyProblem,
@@ -63,11 +69,9 @@ from .market import (
     ratio_order,
     suffix_sums,
 )
-from .records import EpochDiagnostic, EpochEntry, RoundEntry, RunRecord
-from .rewards import RewardFn, eval_r, eval_r_capped
+from .records import EpochDiagnostic, EpochEntry, RunRecord
+from .rewards import RewardFn, eval_r
 from .rng import SplitMix64
-
-_WIN_EPS = 1e-12
 
 
 def default_params(T: int, rho: float, c_bar: float) -> tuple[int, int]:
@@ -91,8 +95,6 @@ class FkorsConfig:
     T: int
     m: int
     k: int
-    bid1_at_m: bool = True
-    c_bar: Optional[float] = None      # the value the defaults were built from
     quantization_grid: int = 1000      # Q; 0 disables
     quantize_threshold: int = 2000     # distinct samples before quantizing
     reuse_tolerance: float = 1e-5      # 0 re-solves the plan every epoch
@@ -115,7 +117,7 @@ class FkorsConfig:
     @classmethod
     def from_defaults(cls, rho: float, T: int, c_bar: float, **kw) -> "FkorsConfig":
         m, k = default_params(T, rho, c_bar)
-        return cls(rho=rho, T=T, m=m, k=k, c_bar=c_bar, **kw)
+        return cls(rho=rho, T=T, m=m, k=k, **kw)
 
 
 class _EmpiricalCurves:
@@ -254,7 +256,7 @@ class _EpochPlanner:
         masses) with one entry per structural basis column."""
         cands, w, p = curves
         prob = occupancy_problem(
-            (cands, w, p), self.reward, self.cfg.m, self.cfg.rho, self.cfg.bid1_at_m,
+            (cands, w, p), self.reward, self.cfg.m, self.cfg.rho, bid1_at_m=True,
             r_vec=self._r_vec,
         )
         if self._d_buf is None or self._d_buf.shape[0] != prob.n_cols + 1:
@@ -337,7 +339,6 @@ def run_fkors(
     if rng is None:
         rng = SplitMix64(cfg.seed)
     T, m, k, rho = cfg.T, cfg.m, cfg.k, cfg.rho
-    budget = rho * T
     curves = _EmpiricalCurves(cfg.quantization_grid, cfg.quantize_threshold)
     planner = _EpochPlanner(reward, cfg)
     record = RunRecord(
@@ -348,84 +349,56 @@ def run_fkors(
         config={
             "m": m,
             "k": k,
-            "bid1_at_m": cfg.bid1_at_m,
-            "c_bar": cfg.c_bar,
             "quantization_grid": cfg.quantization_grid,
             "reuse_tolerance": cfg.reuse_tolerance,
         },
     )
-    rounds: Optional[list[RoundEntry]] = [] if trace else None
     diags: Optional[list[EpochDiagnostic]] = [] if diagnostics else None
     if diagnostics and opt_ref is None:
         opt_ref = solve_benchmark(market, reward, m, rho, bid1_at_m=False).opt_value
 
-    spend = 0.0
-    utility_true = 0.0
-    utility_acc = 0.0
-    wins = 0
-    conversions = 0
-    last_conv = 0
     fake = 1
     epoch = 0
     epoch_start = 0          # rounds before this epoch
     sampler: list[Mixture] = []
-    eval_true = eval_r
     uniform = rng.uniform
 
-    t = 0
-    while t < T:
-        if epoch >= 1 and t == epoch_start:
-            prob, p_states, p_actions, p_masses = planner.plan(curves.curves(), curves.version)
-            mixtures = state_mixtures(prob, p_states, p_actions, p_masses)
-            sampler = _sampler(mixtures)
-            fake = 1
-            if diags is not None:
-                w_vec, p_vec = policy_from_mixtures(prob, mixtures).action_curves(market)
-                stats = cycle_stats_wp(w_vec, p_vec, reward, m)
-                r_avg = 0.0 if stats.degenerate else stats.reward_avg
-                c_avg = 0.0 if stats.degenerate else stats.pay_avg
-                diags.append(
-                    EpochDiagnostic(
-                        epoch,
-                        r_avg,
-                        c_avg,
-                        max(0.0, (opt_ref or 0.0) - r_avg),
-                        max(0.0, c_avg - rho),
-                    )
+    def plan() -> None:
+        nonlocal sampler, fake
+        prob, p_states, p_actions, p_masses = planner.plan(curves.curves(), curves.version)
+        mixtures = state_mixtures(prob, p_states, p_actions, p_masses)
+        sampler = _sampler(mixtures)
+        fake = 1
+        if diags is not None:
+            w_vec, p_vec = policy_from_mixtures(prob, mixtures).action_curves(market)
+            stats = cycle_stats_wp(w_vec, p_vec, reward, m)
+            r_avg = 0.0 if stats.degenerate else stats.reward_avg
+            c_avg = 0.0 if stats.degenerate else stats.pay_avg
+            diags.append(
+                EpochDiagnostic(
+                    epoch,
+                    r_avg,
+                    c_avg,
+                    max(0.0, (opt_ref or 0.0) - r_avg),
+                    max(0.0, c_avg - rho),
                 )
-        t += 1
-        p, c = market.sample(rng)
-        gap = t - last_conv
-        bid: Optional[float] = None
-        if epoch >= 1 and budget - spend >= 1.0:
-            mus, cums = sampler[fake - 1]
-            u = uniform()  # one mixture draw whenever the policy is consulted
-            j = 0
-            while cums[j] < u:
-                j += 1
-            bid = bid_for(mus[j], c)
-        win = 0
-        conv = 0
-        pay = 0.0
-        rew_true = 0.0
-        rew_acc = 0.0
-        if bid is not None and bid >= p - _WIN_EPS:
-            win = 1
-            pay = p
-            spend += p
-            wins += 1
-            if uniform() < c:
-                conv = 1
-                conversions += 1
-                rew_true = eval_true(reward, gap)
-                rew_acc = eval_r_capped(reward, fake, m)
-                utility_true += rew_true
-                utility_acc += rew_acc
-        curves.add(p, c)
-        if rounds is not None:
-            rounds.append(
-                RoundEntry(t, epoch, fake, gap, c, bid, p, win, conv, pay, rew_true, rew_acc)
             )
+
+    def choose(_t: int, c: float) -> Optional[float]:
+        if epoch == 0:
+            return None
+        mus, cums = sampler[fake - 1]
+        u = uniform()  # one mixture draw whenever the policy is consulted
+        j = 0
+        while cums[j] < u:
+            j += 1
+        return bid_for(mus[j], c)
+
+    def settle(t: int, p: float, c: float, _gap: int, conv: int) -> tuple[int, int, float]:
+        nonlocal epoch, epoch_start, fake
+        # fake never exceeds m, so the capped reward r_m(fake) is r(fake)
+        row = (epoch, fake, eval_r(reward, fake) if conv else 0.0)
+        curves.add(p, c)
         if epoch == 0:
             fake = min(m, fake + 1)
             if t >= min(k, T):
@@ -433,7 +406,6 @@ def run_fkors(
                 epoch = 1
                 epoch_start = t
         elif conv:
-            last_conv = t
             record.epochs.append(EpochEntry(epoch, t, t - epoch_start, True))
             epoch += 1
             epoch_start = t
@@ -444,14 +416,12 @@ def run_fkors(
                 record.epochs.append(EpochEntry(epoch, t, k, False))
                 epoch += 1
                 epoch_start = t
-    if spend > budget + 1e-9:
-        raise AssertionError("budget guard failed to cap spending")
-    record.utility_true = utility_true
-    record.utility_accounted = utility_acc
-    record.spend = spend
-    record.wins = wins
-    record.conversions = conversions
-    record.rounds = rounds
+        # planning draws no randomness, so the next epoch's plan is made now
+        if epoch_start == t and t < T:
+            plan()
+        return row
+
+    _simulate(market, reward, rng, record, choose, trace, settle)
     record.diagnostics = diags
     record.config["cold_solves"] = planner.cold_solves
     record.config["reused_plans"] = planner.reuses

@@ -195,17 +195,16 @@ def reference_opt(
 
 
 def _fkors_config(cfg: ExperimentConfig, seed: int) -> FkorsConfig:
-    c_bar = mean_conversion(cfg.market)
     if cfg.m is not None and cfg.k is not None:
         m, k = cfg.m, cfg.k
     else:
-        m, k = default_params(cfg.T, cfg.rho, c_bar)
+        m, k = default_params(cfg.T, cfg.rho, mean_conversion(cfg.market))
         m = min(m, cfg.T)
         if cfg.m is not None:
             m = cfg.m
         if cfg.k is not None:
             k = cfg.k
-    return FkorsConfig(rho=cfg.rho, T=cfg.T, m=m, k=k, c_bar=c_bar, seed=seed)
+    return FkorsConfig(rho=cfg.rho, T=cfg.T, m=m, k=k, seed=seed)
 
 
 def run_algorithm(
@@ -234,32 +233,26 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def summary_row(rec: RunRecord, label: str, opt_per_round: float) -> str:
-    reg = rec.T * opt_per_round - rec.utility_true
+def summary_row(stats: dict, opt_per_round: float) -> str:
+    reg = stats["T"] * opt_per_round - stats["utility_true"]
     return (
-        f"{label},{rec.seed},{rec.T},{_fmt(rec.rho)},{_fmt(rec.utility_true)},"
-        f"{_fmt(rec.utility_accounted)},{_fmt(rec.spend)},{rec.wins},{rec.conversions},"
+        f"{stats['algorithm']},{stats['seed']},{stats['T']},{_fmt(stats['rho'])},"
+        f"{_fmt(stats['utility_true'])},{_fmt(stats['utility_accounted'])},"
+        f"{_fmt(stats['spend'])},{stats['wins']},{stats['conversions']},"
         f"{_fmt(opt_per_round)},{_fmt(reg)}"
     )
 
 
-def _run_one_payload(payload: dict) -> tuple[str, int, str, Optional[list[str]]]:
-    """Worker entry: rebuilds everything from primitives (picklable)."""
+def _run_payload(payload: dict) -> dict:
+    """Worker entry: rebuilds everything from primitives (picklable) and
+    returns the run's statistics, plus its trace lines under "trace" when
+    the payload asks for them."""
     cfg = load_config(payload["config"])
     spec = AlgorithmSpec(payload["name"], payload.get("period"))
-    rec = run_algorithm(cfg, spec, payload["seed"], trace=payload["trace"])
-    row = summary_row(rec, spec.label(), payload["opt"])
-    lines = trace_lines(rec) if payload["trace"] else None
-    return spec.label(), payload["seed"], row, lines
-
-
-def _probe_payload(payload: dict) -> dict:
-    """Worker entry returning aggregate run statistics (picklable)."""
-    cfg = load_config(payload["config"])
-    spec = AlgorithmSpec(payload["name"], payload.get("period"))
-    rec = run_algorithm(cfg, spec, payload["seed"])
+    trace = payload.get("trace", False)
+    rec = run_algorithm(cfg, spec, payload["seed"], trace=trace)
     body = [e for e in rec.epochs if e.index >= 1]
-    return {
+    stats = {
         "algorithm": spec.label(),
         "seed": payload["seed"],
         "T": rec.T,
@@ -272,6 +265,9 @@ def _probe_payload(payload: dict) -> dict:
         "epochs": len(body),
         "epochs_without_conversion": sum(1 for e in body if not e.by_conversion),
     }
+    if trace:
+        stats["trace"] = trace_lines(rec)
+    return stats
 
 
 def _map_jobs(fn, jobs: list[dict], workers: int) -> list:
@@ -306,7 +302,7 @@ def run_batch_groups(
                  "group": g}
             )
     jobs.sort(key=lambda j: -j["config"].get("T", 0))
-    stats = _map_jobs(_probe_payload, jobs, workers)
+    stats = _map_jobs(_run_payload, jobs, workers)
     out: list[list[dict]] = [[] for _ in groups]
     for job, st in zip(jobs, stats):
         out[job["group"]].append(st)
@@ -333,19 +329,18 @@ def run_experiment(
             "period": spec.period,
             "seed": seed,
             "trace": trace,
-            "opt": opt_per_round,
         }
         for spec in cfg.algorithms
         for seed in cfg.seeds
     ]
-    results = _map_jobs(_run_one_payload, jobs, workers)
-    results.sort(key=lambda r: (r[0], r[1]))
-    rows = [row for _, _, row, _ in results]
+    results = _map_jobs(_run_payload, jobs, workers)
+    results.sort(key=lambda st: (st["algorithm"], st["seed"]))
+    rows = [summary_row(st, opt_per_round) for st in results]
     (out / "summary.csv").write_text("\n".join([SUMMARY_HEADER, *rows]) + "\n")
     if trace:
-        for label, seed, _, lines in results:
-            name = label.replace(":", "_")
-            (out / f"trace_{name}_{seed}.csv").write_text("\n".join(lines) + "\n")
+        for st in results:
+            name = st["algorithm"].replace(":", "_")
+            (out / f"trace_{name}_{st['seed']}.csv").write_text("\n".join(st["trace"]) + "\n")
     return rows
 
 

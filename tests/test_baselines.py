@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spacing_auctions import baselines, fkors
 from spacing_auctions.baselines import (
     StaticPolicy,
     fixed_bid_average_utility,
@@ -20,7 +21,8 @@ from spacing_auctions.baselines import (
     warmup_ratio,
 )
 from spacing_auctions.benchmark import solve_benchmark
-from spacing_auctions.market import MarketDistribution, discretize_uniform
+from spacing_auctions.fkors import FkorsConfig, run_fkors
+from spacing_auctions.market import MarketDistribution, bid_for, discretize_uniform
 from spacing_auctions.rewards import cap_linear_reward, sqrt_reward, table_reward
 from spacing_auctions.rng import SplitMix64
 
@@ -254,3 +256,60 @@ def test_fixed_interval_longer_than_horizon():
 def test_fixed_interval_rejects_bad_period():
     with pytest.raises(ValueError):
         fixed_interval_run(discretize_uniform(2), sqrt_reward(), 0, 0.5, 10, SplitMix64(1))
+
+
+# ---------------------------------------------------------------------------
+# the round loop every simulator shares
+
+
+class CountingRng(SplitMix64):
+    """SplitMix64 that counts its uniform draws."""
+
+    __slots__ = ("draws",)
+
+    def __init__(self, seed: int):
+        super().__init__(seed)
+        self.draws = 0
+
+    def uniform(self) -> float:
+        self.draws += 1
+        return super().uniform()
+
+
+def test_round_loop_draws_atom_mixture_and_coin(monkeypatch):
+    """Uniform draws = T atom draws + one per policy consultation + one
+    conversion coin per win, for every simulator."""
+    consultations = 0
+
+    def counting_bid_for(mu, c):
+        nonlocal consultations
+        consultations += 1
+        return bid_for(mu, c)
+
+    monkeypatch.setattr(baselines, "bid_for", counting_bid_for)
+    monkeypatch.setattr(fkors, "bid_for", counting_bid_for)
+    market = discretize_uniform(8)
+    reward = sqrt_reward()
+    rho, T = 0.15, 1500
+    two_action, _ = optimal_static(market, reward, m=20, rho=rho)
+    assert len(two_action.mixture) == 2
+    skip = StaticPolicy(((math.inf, 1.0),), 0.0, 0.0)
+    runs = {
+        "fkors": lambda rng: run_fkors(
+            market, reward, FkorsConfig(rho=rho, T=T, m=12, k=16), rng=rng
+        ),
+        "static two-action": lambda rng: static_run(market, reward, two_action, rho, T, rng),
+        "static skip": lambda rng: static_run(market, reward, skip, rho, T, rng),
+        "fixed interval": lambda rng: fixed_interval_run(market, reward, 3, rho, T, rng),
+    }
+    for name, run in runs.items():
+        consultations = 0
+        rng = CountingRng(9)
+        rec = run(rng)
+        assert rng.draws == T + consultations + rec.wins, name
+        if name == "fkors":
+            assert 0 < consultations <= T - 16  # no consultation in the warm-up
+        elif name.startswith("static"):
+            assert consultations > 0
+        else:
+            assert consultations == 0 and rec.wins > 0

@@ -43,7 +43,6 @@ def test_config_validation():
         FkorsConfig(rho=0.5, T=10, m=5, k=0)
     cfg = FkorsConfig.from_defaults(0.25, 10_000, 1.0)
     assert (cfg.m, cfg.k) == (74, 84)
-    assert cfg.bid1_at_m
 
 
 # ---------------------------------------------------------------------------

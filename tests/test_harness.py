@@ -106,6 +106,31 @@ def test_run_experiment_rows_and_determinism(tmp_path):
     )
 
 
+# BASE_CONFIG's summary rows: any change to the round protocol (draw order,
+# budget guard, win rule, reward accounting) or to the FKORS planner moves them
+PINNED_SUMMARY = [
+    "always_one,5,300,0.3,166.0,166.0,89.75,166,166,0.8636000805747456,93.08002417242369",
+    "always_one,6,300,0.3,167.0,167.0,89.0625,167,167,0.8636000805747456,92.08002417242369",
+    "fixed_interval:3,5,300,0.3,172.47302994931874,172.47302994931874,54.625,100,100,"
+    "0.8636000805747456,86.60699422310495",
+    "fixed_interval:3,6,300,0.3,172.47302994931874,172.47302994931874,53.25,100,100,"
+    "0.8636000805747456,86.60699422310495",
+    "fkors,5,300,0.3,244.6388813489304,242.17477973379263,89.125,220,220,"
+    "0.8636000805747456,14.441142823493294",
+    "fkors,6,300,0.3,254.5171965264414,252.05309491130365,86.9375,227,227,"
+    "0.8636000805747456,4.562827645982281",
+    "static_opt,5,300,0.3,257.17500660087717,257.17500660087717,86.625,230,230,"
+    "0.8636000805747456,1.905017571546523",
+    "static_opt,6,300,0.3,252.14702726507235,252.14702726507235,89.375,228,228,"
+    "0.8636000805747456,6.932996907351338",
+]
+
+
+def test_run_experiment_pinned_summary(tmp_path):
+    rows = run_experiment(load_config(BASE_CONFIG), tmp_path)
+    assert rows == PINNED_SUMMARY
+
+
 def test_run_experiment_parallel_matches_serial(tmp_path):
     cfg = load_config(BASE_CONFIG)
     rows1 = run_experiment(cfg, tmp_path / "serial", workers=1)
