@@ -29,10 +29,16 @@ Two solution paths exist on purpose:
   as zero, and ties leave by the largest pivot entry (the smallest basis id
   once it falls back to Bland's rule).  Same algorithm, orders of magnitude
   faster on the wide LPs the online learner solves per epoch; the solution
-  carries its basis and basic values x_B.
+  carries its basis and basic values x_B.  It starts from the first
+  primal-feasible basis among the caller's ``starts`` (the learner passes
+  its recently optimal bases), then the crash vertices, and runs phase 1
+  only when none is feasible.
   ``verify_basis`` re-checks a stored basis against fresh coefficients,
-  letting the learner keep its policy when it is still optimal instead of
-  re-pivoting from scratch.
+  letting the learner keep its policy when it is still optimal; only when
+  no stored basis certifies does the learner solve again, warm-started from
+  those bases.  A check refills the basis matrix from its ``basis_layout``
+  (nonzero positions with values affine in W and P) and solves the primal
+  and dual systems with one LAPACK LU factorization.
 
 ``state_mixtures`` is the one rule turning occupancy mass into per-state
 mixtures, for ``policy_from_occupancy`` and the learner's per-epoch sampler.
@@ -41,15 +47,11 @@ mixtures, for ``policy_from_occupancy`` and the learner's per-epoch sampler.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.linalg as _sla
-
-# singular bases are detected via the U diagonal and rejected explicitly
-warnings.filterwarnings("ignore", category=_sla.LinAlgWarning)
+from scipy.linalg.lapack import dgetrf as _getrf, dgetrs as _getrs
 
 from .market import (
     MarketDistribution,
@@ -208,35 +210,75 @@ def _rhs(prob: OccupancyProblem) -> np.ndarray:
     return b
 
 
-def _basis_matrix(prob: OccupancyProblem, basis: Sequence[int], art_base: int = -1) -> np.ndarray:
-    """Columns of the reduced system for the given ids (slack and, when
-    art_base >= 0, artificial identity columns included)."""
+@dataclass(frozen=True)
+class BasisLayout:
+    """Nonzero entries of a basis matrix: entry j sits at (rows[j], cols[j])
+    and equals const[j] + w_coef[j] * W[actions[j]] + p_coef[j] * P[actions[j]].
+
+    The positions depend only on the basis ids, so one layout refills the
+    matrix for any coefficients W, P on the same action set."""
+
+    ids: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    actions: np.ndarray
+    const: np.ndarray
+    w_coef: np.ndarray
+    p_coef: np.ndarray
+
+    def fill(self, prob: OccupancyProblem, out: np.ndarray) -> np.ndarray:
+        """Write the entries into the zeroed matrix `out` and return it."""
+        a = self.actions
+        out[self.rows, self.cols] = self.const + self.w_coef * prob.w[a] + self.p_coef * prob.p[a]
+        return out
+
+
+def basis_layout(prob: OccupancyProblem, basis: Sequence[int], art_base: int = -1) -> BasisLayout:
+    """Layout of the reduced system's columns for the given ids (slack and,
+    when art_base >= 0, artificial identity columns included).
+
+    A structural column (state l, action i) holds -W_i in the state-1 row
+    (1 - W_i for l = 1), 1 in its own row, -(1 - W_i) in the row its no-win
+    transition feeds, 1 in the mass row and P_i in the budget row.
+    """
     R = prob.n_rows
     ids = np.asarray(basis, dtype=int)
     ks = np.arange(ids.shape[0])
-    B = np.zeros((R, ids.shape[0]))
     art_mask = (ids > prob.slack_id) if art_base >= 0 else np.zeros(ids.shape[0], dtype=bool)
     slack_mask = ids == prob.slack_id
     struct = ~(art_mask | slack_mask)
-    if np.any(struct):
-        s_ks = ks[struct]
-        states, actions = prob.decode(ids[struct])
-        wv = prob.w[actions]
-        pv = prob.p[actions]
-        if prob.m >= 2:
-            B[0, s_ks] -= wv
-            own = prob.own_row[states]
-            ok = own >= 0
-            B[own[ok], s_ks[ok]] += 1.0
-            nxt = prob.next_row[states]
-            ok = nxt >= 0
-            B[nxt[ok], s_ks[ok]] -= 1.0 - wv[ok]
-        B[R - 2, s_ks] += 1.0
-        B[R - 1, s_ks] += pv
-    B[R - 1, ks[slack_mask]] = 1.0
-    if np.any(art_mask):
-        B[ids[art_mask] - art_base, ks[art_mask]] = 1.0
-    return B
+    s_ks = ks[struct]
+    states, actions = prob.decode(ids[struct])
+    ones = np.ones(s_ks.shape[0])
+    zeros = np.zeros(s_ks.shape[0])
+    # (rows, cols, actions, const, w_coef, p_coef) per block of entries
+    blocks = [
+        (np.full(s_ks.shape[0], R - 2), s_ks, actions, ones, zeros, zeros),
+        (np.full(s_ks.shape[0], R - 1), s_ks, actions, zeros, zeros, ones),
+    ]
+    if prob.m >= 2:
+        blocks.append((np.zeros(s_ks.shape[0], dtype=int), s_ks, actions,
+                       (states == 1).astype(float), -ones, zeros))
+        own = prob.own_row[states]
+        ok = own >= 1
+        blocks.append((own[ok], s_ks[ok], actions[ok], ones[ok], zeros[ok], zeros[ok]))
+        nxt = prob.next_row[states]
+        ok = nxt >= 0
+        blocks.append((nxt[ok], s_ks[ok], actions[ok], -ones[ok], ones[ok], zeros[ok]))
+    identity = ks[art_mask | slack_mask]
+    id_rows = np.where(slack_mask[identity], R - 1, ids[identity] - art_base)
+    n_id = identity.shape[0]
+    blocks.append((id_rows, identity, np.zeros(n_id, dtype=int),
+                   np.ones(n_id), np.zeros(n_id), np.zeros(n_id)))
+    rows, cols, acts, const, w_coef, p_coef = (np.concatenate(part) for part in zip(*blocks))
+    return BasisLayout(ids, rows, cols, acts, const, w_coef, p_coef)
+
+
+def _basis_matrix(prob: OccupancyProblem, basis: Sequence[int], art_base: int = -1) -> np.ndarray:
+    """Columns of the reduced system for the given ids, filled from their
+    ``basis_layout``."""
+    layout = basis_layout(prob, basis, art_base)
+    return layout.fill(prob, np.zeros((prob.n_rows, layout.ids.shape[0])))
 
 
 def _column(prob: OccupancyProblem, col: int, art_base: int = -1) -> np.ndarray:
@@ -338,10 +380,11 @@ class OccupancySolution:
     q: dict[tuple[int, int], float]   # (state, action index) -> mass
     basis: tuple[int, ...]
     x_b: np.ndarray = field(repr=False, compare=False)  # basic values, clipped at 0
+    start: int = -1  # index of the caller's start the simplex began from; -1: none
 
 
 def _solution_from_basis(
-    prob: OccupancyProblem, basis: Sequence[int], x_b: np.ndarray
+    prob: OccupancyProblem, basis: Sequence[int], x_b: np.ndarray, start: int = -1
 ) -> OccupancySolution:
     ids = np.asarray(basis, dtype=int)
     keep = (ids != prob.slack_id) & (x_b > 0.0)
@@ -356,34 +399,44 @@ def _solution_from_basis(
         for s, i, v in zip(states.tolist(), actions.tolist(), vals.tolist()):
             key = (s, i)
             q[key] = q.get(key, 0.0) + v
-    return OccupancySolution(float(obj), float(pay), q, tuple(basis), x_b)
+    return OccupancySolution(float(obj), float(pay), q, tuple(basis), x_b, start)
+
+
+def _primal_values(
+    prob: OccupancyProblem, B: np.ndarray, primal_tol: float
+) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(x_B, LU, pivots) of the square basis matrix B, which LAPACK getrf
+    factors in place, if B is nonsingular (every |U diagonal| >= 1e-13) and
+    x_B is finite with no entry below -primal_tol; None otherwise."""
+    lu, piv, _ = _getrf(B, overwrite_a=True)
+    if np.abs(np.diagonal(lu)).min() < 1e-13:
+        return None
+    x_b, _ = _getrs(lu, piv, _rhs(prob))
+    if not np.all(np.isfinite(x_b)) or x_b.min() < -primal_tol:
+        return None
+    return x_b, lu, piv
 
 
 def verify_basis_values(
     prob: OccupancyProblem,
-    ids: np.ndarray,
+    layout: BasisLayout,
     cb: np.ndarray,
     primal_tol: float = 1e-9,
     dual_tol: float = 1e-9,
     d_buf: Optional[np.ndarray] = None,
 ) -> Optional[np.ndarray]:
-    """x_B of `ids` if that basis is primal feasible and within dual_tol of
-    optimal for `prob`; None otherwise.  `cb` must hold the basis's objective
-    coefficients."""
-    B = _basis_matrix(prob, ids)
-    try:
-        # one factorization covers both the primal and dual solves
-        lu, piv = _sla.lu_factor(B, check_finite=False)
-        if np.any(np.abs(np.diagonal(lu)) < 1e-13):
-            return None
-        x_b = _sla.lu_solve((lu, piv), _rhs(prob), check_finite=False)
-        y = _sla.lu_solve((lu, piv), cb, trans=1, check_finite=False)
-    except (ValueError, _sla.LinAlgError):
+    """x_B of the basis `layout.ids` if it is primal feasible and within
+    dual_tol of optimal for `prob`; None otherwise.  `cb` must hold the
+    basis's objective coefficients.  One LU factorization of the refilled
+    basis matrix serves both the primal and the dual solve."""
+    R = prob.n_rows
+    primal = _primal_values(prob, layout.fill(prob, np.zeros((R, R), order="F")), primal_tol)
+    if primal is None:
         return None
-    if not np.all(np.isfinite(x_b)) or x_b.min() < -primal_tol:
-        return None
+    x_b, lu, piv = primal
+    y, _ = _getrs(lu, piv, cb, trans=1)
     d = _reduced_costs(prob, y, phase1=False, out=d_buf)
-    d[ids] = -np.inf
+    d[layout.ids] = -np.inf
     if d.max() > dual_tol:
         return None
     return np.maximum(x_b, 0.0)
@@ -397,15 +450,20 @@ def verify_basis(
 ) -> Optional[OccupancySolution]:
     """The basic solution of `basis` if it is primal feasible and within
     dual_tol of optimal for `prob`; None otherwise."""
-    ids = np.asarray(basis, dtype=int)
-    if ids.shape[0] != prob.n_rows or ids.min() < 0 or ids.max() > prob.slack_id:
+    if not _valid_ids(prob, basis):
         return None
     x_b = verify_basis_values(
-        prob, ids, _objective_coeffs(prob, basis), primal_tol, dual_tol
+        prob, basis_layout(prob, basis), _objective_coeffs(prob, basis), primal_tol, dual_tol
     )
     if x_b is None:
         return None
     return _solution_from_basis(prob, basis, x_b)
+
+
+def _valid_ids(prob: OccupancyProblem, basis: Sequence[int]) -> bool:
+    """Whether `basis` holds one column id in [0, slack_id] per row."""
+    ids = np.asarray(basis, dtype=int)
+    return ids.shape == (prob.n_rows,) and ids.min() >= 0 and ids.max() <= prob.slack_id
 
 
 def _chain_basis(prob: OccupancyProblem, action: int) -> list[int]:
@@ -587,21 +645,28 @@ def _phase1(prob: OccupancyProblem, tol: float) -> list[int]:
     return basis
 
 
-def solve_occupancy_problem(prob: OccupancyProblem, tol: float = 1e-9) -> OccupancySolution:
-    """Cold solve: best feasible crash vertex, else a phase-1 start."""
-    basis = None
-    for candidate in _crash_bases(prob):
-        try:
-            x_b = np.linalg.solve(_basis_matrix(prob, candidate), _rhs(prob))
-        except np.linalg.LinAlgError:
-            continue
-        if np.all(np.isfinite(x_b)) and x_b.min() >= -tol:
-            basis = candidate
+def solve_occupancy_problem(
+    prob: OccupancyProblem, tol: float = 1e-9, starts: Sequence[Sequence[int]] = ()
+) -> OccupancySolution:
+    """Solve from the first primal-feasible basis among `starts` (in order)
+    and then the crash vertices; from a phase-1 basis when none is feasible.
+
+    A start of the wrong length, with an id out of range, singular or primal
+    infeasible is skipped.  The solution's `start` is the index in `starts`
+    of the basis it began from, -1 for a crash vertex or phase 1.
+    """
+    basis, used = None, -1
+    for i, candidate in enumerate([*starts, *_crash_bases(prob)]):
+        if _valid_ids(prob, candidate) and _primal_values(
+            prob, _basis_matrix(prob, candidate), tol
+        ) is not None:
+            basis = list(candidate)  # the simplex pivots it in place
+            used = i if i < len(starts) else -1
             break
     if basis is None:
         basis = _phase1(prob, tol)
     x_b = _simplex_loop(prob, basis, phase1=False, tol=tol)
-    return _solution_from_basis(prob, basis, x_b)
+    return _solution_from_basis(prob, basis, x_b, used)
 
 
 # ---------------------------------------------------------------------------

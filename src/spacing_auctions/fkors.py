@@ -28,9 +28,14 @@ Planning draws nothing.
 Per-epoch plan reuse: consecutive epochs solve almost identical programs, so
 the planner keeps a small cache of recently optimal bases and re-checks them
 against the updated empirical curves (primal feasibility and reduced costs
-within ``reuse_tolerance``), re-pivoting from scratch only when no cached
-basis certifies.  Every epoch therefore plays a mixture that is optimal for
-its own empirical program up to ``reuse_tolerance`` per round.
+within ``reuse_tolerance``).  When no cached basis certifies, it solves
+again, starting from the first primal-feasible basis in this order: the
+cached bases, most recent first, then the crash vertices, then a phase-1
+basis.  Every epoch therefore plays a mixture that is optimal for its own
+empirical program up to ``reuse_tolerance`` per round.  In a degenerate
+program a warm start can end at another optimal vertex than a crash start,
+so a run can differ from one with ``reuse_tolerance = 0``, which re-solves
+from the crash vertices every epoch.
 
 The planner keeps no copy of a rule another module owns: the empirical
 curves use the market module's candidate rule and suffix sums, a cold solve
@@ -52,6 +57,7 @@ from .baselines import _simulate
 from .benchmark import (
     Mixture,
     OccupancyProblem,
+    basis_layout,
     cycle_stats_wp,
     occupancy_problem,
     policy_from_mixtures,
@@ -204,7 +210,8 @@ class _EpochPlanner:
     absorbs most re-solves; every plan served is certified optimal for the
     current epoch's program within the configured tolerance.  Cached bases
     are stored as (state, multiplier value) labels and re-resolved to column
-    ids only when the candidate set changes.
+    ids only when the candidate set changes.  A miss re-solves warm, from
+    the cached bases that still map to column ids.
     """
 
     _CACHE = 6
@@ -213,7 +220,8 @@ class _EpochPlanner:
         self.reward = reward
         self.cfg = cfg
         self.cache: list[dict] = []  # {"labels", "ids", "version", decoded arrays}
-        self.cold_solves = 0
+        self.cold_solves = 0  # every solve_occupancy_problem call, warm or not
+        self.warm_starts = 0  # solves that began from a cached basis
         self.reuses = 0
         self._r_vec = reward_vector(reward, cfg.m)
         self._d_buf: Optional[np.ndarray] = None
@@ -238,16 +246,16 @@ class _EpochPlanner:
 
     @staticmethod
     def _decorate(entry: dict, prob: OccupancyProblem) -> None:
-        """Cache the decoded structure of an entry's basis ids."""
-        ids = np.asarray(entry["ids"], dtype=int)
-        struct = ids != prob.slack_id
-        states, actions = prob.decode(ids[struct])
-        entry["ids_arr"] = ids
+        """Cache the decoded structure and the basis-matrix layout of an
+        entry's basis ids; `cb` is refilled before each check."""
+        layout = basis_layout(prob, entry["ids"])
+        struct = layout.ids != prob.slack_id
+        states, actions = prob.decode(layout.ids[struct])
+        entry["layout"] = layout
         entry["struct"] = struct
         entry["states"] = states
         entry["actions"] = actions
-        entry["cb"] = np.zeros(ids.shape[0])
-        entry["cb"][struct] = prob.r[states - 1] * prob.w[actions]
+        entry["cb"] = np.zeros(layout.ids.shape[0])
 
     def plan(
         self, curves: tuple[np.ndarray, np.ndarray, np.ndarray], version: int
@@ -279,7 +287,7 @@ class _EpochPlanner:
                 )
                 x_b = verify_basis_values(
                     prob,
-                    cand_entry["ids_arr"],
+                    cand_entry["layout"],
                     cand_entry["cb"],
                     primal_tol=1e-7,
                     dual_tol=self.cfg.reuse_tolerance,
@@ -290,8 +298,14 @@ class _EpochPlanner:
                     entry = cand_entry
                     break
         if x_b is None:
-            sol = solve_occupancy_problem(prob)
+            # with reuse off, every epoch solves from the crash vertices
+            starts = (
+                [e["ids"] for e in self.cache if e["ids"] is not None]
+                if self.cfg.reuse_tolerance > 0.0 else []
+            )
+            sol = solve_occupancy_problem(prob, starts=starts)
             self.cold_solves += 1
+            self.warm_starts += sol.start >= 0
             ids = np.asarray(sol.basis)
             struct = ids != prob.slack_id
             states, actions = prob.decode(ids[struct])
@@ -424,6 +438,7 @@ def run_fkors(
     _simulate(market, reward, rng, record, choose, trace, settle)
     record.diagnostics = diags
     record.config["cold_solves"] = planner.cold_solves
+    record.config["warm_starts"] = planner.warm_starts
     record.config["reused_plans"] = planner.reuses
     return record
 

@@ -1,14 +1,29 @@
 """Tests for the occupancy-LP benchmark, renewal formulas and the DP oracle."""
 
 import math
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
+import spacing_auctions
 from spacing_auctions.benchmark import (
     InfeasibleOccupancyError,
     BenchResult,
+    _basis_matrix,
+    _chain_basis,
+    _column,
+    _crash_bases,
+    _objective_coeffs,
     _ratio_test,
+    _reduced_costs,
+    _rhs,
+    basis_layout,
+    verify_basis_values,
     CycleStats,
     OccupancyProblem,
     PolicyVec,
@@ -34,6 +49,7 @@ from spacing_auctions.market import (
     mean_conversion,
     win_pay_curve,
 )
+from spacing_auctions.harness import random_market as harness_random_market
 from spacing_auctions.rewards import cap_linear_reward, sqrt_reward, table_reward
 from spacing_auctions.rng import SplitMix64
 from spacing_auctions.simplex import solve_lp
@@ -272,6 +288,171 @@ def test_verify_basis_tracks_small_coefficient_drift():
     if reused is not None:
         fresh = solve_occupancy_problem(prob2)
         assert reused.objective == pytest.approx(fresh.objective, abs=1e-6)
+
+
+def random_problem(rng: SplitMix64):
+    """A random occupancy problem and its solution: harness market, m in
+    3..14, bid-1 forced at m unless that makes the program infeasible."""
+    market = harness_random_market(rng)
+    actions = candidate_multipliers(market)
+    w0, p0 = win_pay_curve(market, actions)
+    m = 3 + int(rng.uniform() * 12)
+    rho = 0.05 + 0.4 * rng.uniform()
+    reward = sqrt_reward() if rng.uniform() < 0.5 else cap_linear_reward(1 + int(rng.uniform() * 6))
+    prob = occupancy_problem((actions, w0, p0), reward, m, rho, True)
+    try:
+        sol = solve_occupancy_problem(prob)
+    except InfeasibleOccupancyError:
+        prob = occupancy_problem((actions, w0, p0), reward, m, rho, False)
+        sol = solve_occupancy_problem(prob)
+    return prob, sol, reward
+
+
+def with_curves(prob, reward, w, p):
+    return occupancy_problem((prob.mus, w, p), reward, prob.m, prob.rho, prob.bid1_at_m)
+
+
+def test_warm_start_from_stale_optimal_basis_reaches_crash_optimum():
+    # perturb W/P until the old optimal basis is primal feasible but no
+    # longer dual optimal; the solve started there must reach the optimum
+    rng = SplitMix64(2024)
+    warm_solves = 0
+    for _ in range(50):
+        prob, sol, reward = random_problem(rng)
+        n = prob.n_actions
+        for eps in (0.01, 0.03, 0.1, 0.3, 0.3, 0.3):
+            noise = np.array([rng.uniform() - 0.5 for _ in range(2 * n)])
+            prob2 = with_curves(
+                prob, reward, np.clip(prob.w * (1 + eps * noise[:n]), 0.0, 1.0),
+                prob.p * (1 + eps * noise[n:]),
+            )
+            feasible = verify_basis(prob2, sol.basis, dual_tol=np.inf) is not None
+            if feasible and verify_basis(prob2, sol.basis) is None:
+                break
+        else:
+            continue
+        warm = solve_occupancy_problem(prob2, starts=[sol.basis])
+        cold = solve_occupancy_problem(prob2)
+        assert warm.start == 0 and cold.start == -1
+        assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+        assert verify_basis(prob2, warm.basis) is not None
+        warm_solves += 1
+    assert warm_solves >= 40
+
+
+def test_unusable_starts_are_skipped():
+    rng = SplitMix64(77)
+    checked = 0
+    for _ in range(30):
+        prob, sol, _ = random_problem(rng)
+        good = list(sol.basis)
+        singular = [good[0]] + good[:-1]  # duplicate column
+        short = good[:-1]
+        out_of_range = good[:-1] + [prob.slack_id + 1]
+        infeasible = [
+            b for b in (_chain_basis(prob, i) for i in range(prob.n_actions))
+            if verify_basis(prob, b, dual_tol=np.inf) is None
+            and np.linalg.matrix_rank(_basis_matrix(prob, b)) == prob.n_rows
+        ]
+        bad = [singular, short, out_of_range] + infeasible[:1]
+        cold = solve_occupancy_problem(prob)
+        skipped = solve_occupancy_problem(prob, starts=bad)
+        assert skipped.start == -1
+        assert skipped.objective == pytest.approx(cold.objective, abs=1e-9)
+        # a usable start after the bad ones is taken, and left unmodified
+        starts = bad + [good]
+        assert solve_occupancy_problem(prob, starts=starts).start == len(bad)
+        assert starts[-1] == list(sol.basis)
+        checked += bool(infeasible)
+    assert checked >= 10
+
+
+def random_bases(rng: SplitMix64, prob, sol):
+    """Optimal, crash, duplicate-column and random bases of `prob`."""
+    bases = [list(sol.basis), [sol.basis[0]] + list(sol.basis[:-1])]
+    bases += _crash_bases(prob)
+    for _ in range(4):
+        bases.append([int(rng.uniform() * (prob.slack_id + 1)) for _ in range(prob.n_rows)])
+    return bases
+
+
+def test_basis_layout_fills_the_basis_matrix_bitwise():
+    rng = SplitMix64(31)
+    for _ in range(40):
+        prob, sol, reward = random_problem(rng)
+        art_base = prob.slack_id + 1
+        for basis in random_bases(rng, prob, sol):
+            ids = list(basis)
+            ids[int(rng.uniform() * len(ids))] = art_base + int(rng.uniform() * prob.n_rows)
+            for b, art in ((basis, -1), (ids, art_base)):
+                ref = np.column_stack([_column(prob, c, art) for c in b])
+                B = _basis_matrix(prob, b, art)
+                assert B.tobytes() == ref.tobytes()
+            # one layout refills the matrix for drifted coefficients
+            layout = basis_layout(prob, basis)
+            w2 = np.array([min(1.0, x * (1 + 0.1 * rng.uniform())) for x in prob.w])
+            p2 = np.array([x * (1 + 0.1 * rng.uniform()) for x in prob.p])
+            prob2 = with_curves(prob, reward, w2, p2)
+            filled = layout.fill(prob2, np.zeros((prob.n_rows, prob.n_rows), order="F"))
+            assert np.ascontiguousarray(filled).tobytes() == _basis_matrix(prob2, basis).tobytes()
+
+
+def lu_factor_route(prob, ids, cb, primal_tol=1e-9, dual_tol=1e-9):
+    """Basis verification through scipy's lu_factor/lu_solve wrappers."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", sla.LinAlgWarning)
+        lu, piv = sla.lu_factor(_basis_matrix(prob, ids), check_finite=False)
+    if np.any(np.abs(np.diagonal(lu)) < 1e-13):
+        return None
+    x_b = sla.lu_solve((lu, piv), _rhs(prob), check_finite=False)
+    y = sla.lu_solve((lu, piv), cb, trans=1, check_finite=False)
+    if not np.all(np.isfinite(x_b)) or x_b.min() < -primal_tol:
+        return None
+    d = _reduced_costs(prob, y, phase1=False)
+    d[np.asarray(ids)] = -np.inf
+    if d.max() > dual_tol:
+        return None
+    return np.maximum(x_b, 0.0)
+
+
+def test_verify_basis_values_matches_lu_factor_route():
+    rng = SplitMix64(59)
+    verdicts = {"accepted": 0, "singular": 0, "rejected": 0}
+    for _ in range(40):
+        prob, sol, reward = random_problem(rng)
+        prob2 = with_curves(
+            prob, reward, np.clip(prob.w * (1 + 0.02 * (rng.uniform() - 0.5)), 0.0, 1.0), prob.p
+        )
+        for problem in (prob, prob2):
+            for basis in random_bases(rng, problem, sol):
+                cb = _objective_coeffs(problem, basis)
+                for tol in (1e-9, 1e-5):
+                    want = lu_factor_route(problem, basis, cb, 1e-7, tol)
+                    got = verify_basis_values(problem, basis_layout(problem, basis), cb, 1e-7, tol)
+                    assert (want is None) == (got is None)
+                    if got is not None:
+                        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+                        verdicts["accepted"] += 1
+                    elif len(set(basis)) < len(basis):
+                        verdicts["singular"] += 1
+                    else:
+                        verdicts["rejected"] += 1
+        duplicate = [sol.basis[0]] + list(sol.basis[:-1])
+        layout = basis_layout(prob, duplicate)
+        assert verify_basis_values(prob, layout, _objective_coeffs(prob, duplicate)) is None
+    assert min(verdicts.values()) >= 40, verdicts
+
+
+def test_import_leaves_linalg_warnings_alone():
+    # importing the package must not change the host's warning filters
+    src = str(Path(spacing_auctions.__file__).resolve().parents[1])
+    code = (
+        "import sys, warnings, scipy.linalg as sla; sys.path.insert(0, sys.argv[1]); "
+        "before = list(warnings.filters); import spacing_auctions; "
+        "added = [f for f in warnings.filters if f not in before]; "
+        "assert not [f for f in added if issubclass(sla.LinAlgWarning, f[2])], added"
+    )
+    subprocess.run([sys.executable, "-c", code, src], check=True, timeout=120)
 
 
 # ---------------------------------------------------------------------------

@@ -223,3 +223,14 @@ def test_wide_market_degenerate_ties_keep_basis_nonsingular():
     assert rec.spend <= 0.2 * 300 + 1e-9
     assert rec.config["cold_solves"] > 20
     assert rec.utility_true > 0.0
+
+
+def test_warm_starts_count_cold_solves_begun_from_cached_bases():
+    # a 20-atom support keeps growing for a while, so the cache misses
+    market = discretize_uniform(20)
+    base = dict(rho=0.3, T=1000, m=10, k=14, seed=3)
+    fast = run_fkors(market, sqrt_reward(), FkorsConfig(**base))
+    slow = run_fkors(market, sqrt_reward(), FkorsConfig(**base, reuse_tolerance=0.0))
+    assert 0 < fast.config["warm_starts"] <= fast.config["cold_solves"]
+    # with reuse off every epoch solves from the crash vertices
+    assert slow.config["warm_starts"] == 0
