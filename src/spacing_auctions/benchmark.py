@@ -27,12 +27,15 @@ Two solution paths exist on purpose:
   columns from the (state, action) structure without ever materializing the
   constraint matrix.  Its ratio test reads round-off negative basic values
   as zero, and ties leave by the largest pivot entry (the smallest basis id
-  once it falls back to Bland's rule).  Same algorithm, orders of magnitude
+  once it falls back to Bland's rule; Harris's two-pass test when a tiny
+  pivot survives a refactorization).  Same algorithm, orders of magnitude
   faster on the wide LPs the online learner solves per epoch; the solution
   carries its basis and basic values x_B.  It starts from the first
   primal-feasible basis among the caller's ``starts`` (the learner passes
-  its recently optimal bases), then the crash vertices, and runs phase 1
-  only when none is feasible.
+  its recently optimal bases, most recent first).  When none is feasible, a
+  dual-simplex phase pivots the first start, if nonsingular, back to
+  primal feasibility; failing that, the solve starts from the crash
+  vertices, and runs phase 1 only when none of them is feasible.
   ``verify_basis`` re-checks a stored basis against fresh coefficients,
   letting the learner keep its policy when it is still optimal; only when
   no stored basis certifies does the learner solve again, warm-started from
@@ -402,19 +405,29 @@ def _solution_from_basis(
     return OccupancySolution(float(obj), float(pay), q, tuple(basis), x_b, start)
 
 
-def _primal_values(
-    prob: OccupancyProblem, B: np.ndarray, primal_tol: float
+def _basic_values(
+    prob: OccupancyProblem, B: np.ndarray
 ) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """(x_B, LU, pivots) of the square basis matrix B, which LAPACK getrf
     factors in place, if B is nonsingular (every |U diagonal| >= 1e-13) and
-    x_B is finite with no entry below -primal_tol; None otherwise."""
+    x_B is finite; None otherwise."""
     lu, piv, _ = _getrf(B, overwrite_a=True)
     if np.abs(np.diagonal(lu)).min() < 1e-13:
         return None
     x_b, _ = _getrs(lu, piv, _rhs(prob))
-    if not np.all(np.isfinite(x_b)) or x_b.min() < -primal_tol:
+    if not np.all(np.isfinite(x_b)):
         return None
     return x_b, lu, piv
+
+
+def _primal_values(
+    prob: OccupancyProblem, B: np.ndarray, primal_tol: float
+) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """``_basic_values`` of B if no entry of x_B lies below -primal_tol."""
+    values = _basic_values(prob, B)
+    if values is None or values[0].min() < -primal_tol:
+        return None
+    return values
 
 
 def verify_basis_values(
@@ -495,20 +508,25 @@ def _crash_bases(prob: OccupancyProblem) -> list[list[int]]:
     return bases
 
 
-def _ratio_test(x_b: np.ndarray, direction: np.ndarray, basis_arr: np.ndarray, bland: bool) -> int:
+def _ratio_test(
+    x_b: np.ndarray, direction: np.ndarray, basis_arr: np.ndarray, bland: bool, slack: float = 0.0
+) -> int:
     """Leaving position of the minimum-ratio test (-1: no positive entry).
 
     Ties leave by the largest pivot entry: in a degenerate step a tiny tied
     entry can be round-off of a zero, and pivoting on it leaves the basis
     singular.  Bland's rule takes the smallest basis id, keeping termination.
     Round-off negative basic values count as zero, so one over a tiny entry
-    cannot undercut the ties at zero.
+    cannot undercut the ties at zero.  With `slack` > 0 (Harris's two-pass
+    test, for the retry after a tiny pivot) every row whose ratio is within
+    the step that drives some basic value `slack` below zero ties.
     """
     rows = np.nonzero(direction > 1e-9)[0]
     if rows.size == 0:
         return -1
-    ratios = np.maximum(x_b[rows], 0.0) / direction[rows]
-    tie = rows[ratios <= ratios.min() + 1e-15]
+    x_rows = np.maximum(x_b[rows], 0.0)
+    ratios = x_rows / direction[rows]
+    tie = rows[ratios <= ((x_rows + slack) / direction[rows]).min() + 1e-15]
     if bland:
         return int(tie[np.argmin(basis_arr[tie])])
     return int(tie[np.argmax(direction[tie])])
@@ -520,7 +538,7 @@ def _simplex_loop(
     """Revised primal simplex from a feasible basis; returns x_B.
 
     The basis inverse is maintained in product form with periodic
-    refactorization.  Entering columns follow Dantzig's rule (first maximum,
+    refactorization by ``_inverse``.  Entering columns follow Dantzig's rule (first maximum,
     deterministic) until a long streak of degenerate steps, after which the
     loop switches to Bland's rule for guaranteed termination.  In phase 1
     artificial identity columns (ids slack_id + 1 + row) may sit in the
@@ -530,7 +548,7 @@ def _simplex_loop(
     b = _rhs(prob)
     art_base = prob.slack_id + 1
     B = _basis_matrix(prob, basis, art_base)
-    b_inv = np.linalg.inv(B)
+    b_inv = _inverse(B)
     x_b = b_inv @ b
     refactor_left = 64
     bland = False
@@ -560,7 +578,7 @@ def _simplex_loop(
         direction = b_inv @ a_j
         if float(np.max(np.abs(B @ direction - a_j))) > 1e-8:
             # the product-form inverse drifted: refactorize and recompute
-            b_inv = np.linalg.inv(B)
+            b_inv = _inverse(B)
             x_b = np.maximum(b_inv @ b, 0.0)
             refactor_left = 64
             direction = b_inv @ a_j
@@ -571,13 +589,13 @@ def _simplex_loop(
         if abs(piv) < 1e-7:
             # numerically unreliable pivot: refresh the factorization and
             # retry from exact data; if it persists, skip this column once
-            b_inv = np.linalg.inv(B)
+            b_inv = _inverse(B)
             x_b = np.maximum(b_inv @ b, 0.0)
             refactor_left = 64
             direction = b_inv @ a_j
             if float(direction[leave]) < 1e-9:
                 continue
-            leave = _ratio_test(x_b, direction, basis_arr, bland)
+            leave = _ratio_test(x_b, direction, basis_arr, bland=False, slack=tol)
             if leave < 0:
                 raise RuntimeError("occupancy LP unbounded after refresh")
             piv = float(direction[leave])
@@ -598,19 +616,106 @@ def _simplex_loop(
         B[:, leave] = a_j
         refactor_left -= 1
         if refactor_left <= 0:
-            b_inv = np.linalg.inv(B)
+            b_inv = _inverse(B)
             x_b = np.maximum(b_inv @ b, 0.0)
             refactor_left = 64
         else:
-            # product-form update: map the entering column onto e_leave
-            row = b_inv[leave].copy()
-            b_inv -= np.outer(direction / piv, row)
-            b_inv[leave] = row / piv
+            _update_inverse(b_inv, direction, leave)
     else:
         raise RuntimeError("occupancy simplex pivot limit exceeded")
     # refresh the solution from a clean factorization before returning
-    x_b = np.linalg.solve(_basis_matrix(prob, basis, art_base), b)
+    x_b = _solve(_basis_matrix(prob, basis, art_base), b)
     return np.maximum(x_b, 0.0)
+
+
+def _solve(B: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """B^-1 b through LAPACK getrf/getrs, the route basis checks take; raises
+    LinAlgError when getrf meets an exactly zero pivot.  (numpy's solver,
+    from its own OpenBLAS build, changed in its last bits with the BLAS
+    thread count from about 108 rows on, and with it the learner's runs.)"""
+    lu, piv, info = _getrf(B)
+    if info > 0:
+        raise np.linalg.LinAlgError("Singular matrix")
+    return _getrs(lu, piv, b)[0]
+
+
+def _inverse(B: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(_solve(B, np.eye(B.shape[0])))
+
+
+def _update_inverse(b_inv: np.ndarray, direction: np.ndarray, leave: int) -> None:
+    """Product-form update of B^-1 in place: the column whose B^-1 image is
+    `direction` replaces basis position `leave`."""
+    row = b_inv[leave].copy()
+    b_inv -= np.outer(direction / direction[leave], row)
+    b_inv[leave] = row / direction[leave]
+
+
+def _dual_phase(prob: OccupancyProblem, basis: list[int], tol: float) -> bool:
+    """Dual simplex pivots on `basis`, in place, until it is primal feasible.
+
+    Meant for a recently optimal basis that the new program's coefficients
+    made primal infeasible: its reduced costs are near dual feasible, so a
+    few dual pivots restore primal feasibility close to the new optimum, and
+    the primal simplex then certifies optimality with the true costs.  Each
+    pivot leaves by the most negative basic value x_B[r]; the pivot row
+    e_r^T B^-1 A comes from the structured pricing identity
+    A^T z = -reduced_costs(z, phase1) with z = B^-T e_r.  The ratio test runs
+    over nonbasic columns with a negative row entry and breaks ties by the
+    largest |entry|.  Reduced costs above zero read as zero (cost shifting),
+    so a start within round-off of dual feasibility does not stall.
+
+    The basis inverse is `_simplex_loop`'s: explicit, with product-form
+    updates and a drift check.  The basis is handed over only if it passes
+    the check a primal-feasible start passes, on a fresh factorization.
+    Returns False (the basis is then of no use) on a singular basis, a row
+    with no negative entry (the program is infeasible, or the start too far
+    off) or after 4 pivots per row.
+    """
+    R = prob.n_rows
+    b = _rhs(prob)
+    B = _basis_matrix(prob, basis)
+    b_inv = _inverse(B)  # the caller checked that B is nonsingular
+    x_b = b_inv @ b
+    basic = np.zeros(prob.n_cols + 1, dtype=bool)
+    basic[basis] = True
+    d = _reduced_costs(prob, b_inv.T @ _objective_coeffs(prob, basis), phase1=False)
+    np.minimum(d, 0.0, out=d)
+    row = np.empty(prob.n_cols + 1)
+    for _ in range(4 * R):
+        leave = int(np.argmin(x_b))
+        if x_b[leave] >= -tol:
+            return _primal_values(prob, _basis_matrix(prob, basis), tol) is not None
+        _reduced_costs(prob, b_inv[leave], phase1=True, out=row)
+        np.negative(row, out=row)
+        cand = np.nonzero((row < -1e-9) & ~basic)[0]
+        if cand.size == 0:
+            return False
+        ratios = d[cand] / row[cand]
+        tie = cand[ratios <= ratios.min() + 1e-15]
+        j = int(tie[np.argmin(row[tie])])
+        a_j = _column(prob, j)
+        direction = b_inv @ a_j
+        if float(np.max(np.abs(B @ direction - a_j))) > 1e-8 or abs(direction[leave]) < 1e-9:
+            try:
+                b_inv = _inverse(B)
+            except np.linalg.LinAlgError:
+                return False
+            x_b = b_inv @ b
+            continue
+        theta_d = d[j] / row[j]
+        d -= theta_d * row
+        np.minimum(d, 0.0, out=d)
+        d[j] = 0.0
+        theta_p = x_b[leave] / direction[leave]
+        x_b -= theta_p * direction
+        x_b[leave] = theta_p
+        basic[basis[leave]] = False
+        basic[j] = True
+        basis[leave] = j
+        B[:, leave] = a_j
+        _update_inverse(b_inv, direction, leave)
+    return False
 
 
 def _phase1(prob: OccupancyProblem, tol: float) -> list[int]:
@@ -634,7 +739,7 @@ def _phase1(prob: OccupancyProblem, tol: float) -> list[int]:
         B = _basis_matrix(prob, basis, art_base)
         e = np.zeros(n_rows)
         e[i] = 1.0
-        z = np.linalg.solve(B.T, e)
+        z = _solve(B.T, e)
         row_vals = -_reduced_costs(prob, z, phase1=True)
         row_vals[np.asarray([c2 for c2 in basis if c2 < art_base], dtype=int)] = 0.0
         cand = np.nonzero(np.abs(row_vals) > 1e-7)[0]
@@ -648,23 +753,37 @@ def _phase1(prob: OccupancyProblem, tol: float) -> list[int]:
 def solve_occupancy_problem(
     prob: OccupancyProblem, tol: float = 1e-9, starts: Sequence[Sequence[int]] = ()
 ) -> OccupancySolution:
-    """Solve from the first primal-feasible basis among `starts` (in order)
-    and then the crash vertices; from a phase-1 basis when none is feasible.
+    """Solve from the first primal-feasible basis among `starts` (in order);
+    when none is, from `starts[0]` made primal feasible by ``_dual_phase``;
+    then from the first primal-feasible crash vertex; from a phase-1 basis
+    when none of these works.
 
-    A start of the wrong length, with an id out of range, singular or primal
-    infeasible is skipped.  The solution's `start` is the index in `starts`
-    of the basis it began from, -1 for a crash vertex or phase 1.
+    A start of the wrong length, with an id out of range or singular is
+    skipped, and so is a primal-infeasible one other than `starts[0]` (the
+    most recent basis, for the learner).  One dual restart bounds the cost
+    of a miss.  The solution's `start` is the index in `starts` of the basis
+    it began from by either route, -1 for a crash vertex or phase 1.
     """
     basis, used = None, -1
-    for i, candidate in enumerate([*starts, *_crash_bases(prob)]):
-        if _valid_ids(prob, candidate) and _primal_values(
-            prob, _basis_matrix(prob, candidate), tol
-        ) is not None:
-            basis = list(candidate)  # the simplex pivots it in place
-            used = i if i < len(starts) else -1
+    restart = False  # whether starts[0] is nonsingular but primal infeasible
+    for i, candidate in enumerate(starts):
+        values = _basic_values(prob, _basis_matrix(prob, candidate)) if _valid_ids(
+            prob, candidate) else None
+        if values is None:
+            continue
+        if values[0].min() >= -tol:
+            basis, used = list(candidate), i  # the simplex pivots it in place
             break
+        restart |= i == 0
+    if restart and basis is None:
+        candidate = list(starts[0])
+        if _dual_phase(prob, candidate, tol):
+            basis, used = candidate, 0
     if basis is None:
-        basis = _phase1(prob, tol)
+        basis = next((
+            candidate for candidate in _crash_bases(prob)
+            if _primal_values(prob, _basis_matrix(prob, candidate), tol) is not None
+        ), None) or _phase1(prob, tol)
     x_b = _simplex_loop(prob, basis, phase1=False, tol=tol)
     return _solution_from_basis(prob, basis, x_b, used)
 

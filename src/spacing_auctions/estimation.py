@@ -35,12 +35,17 @@ def empirical_wp(samples: Sequence[SamplePair], mu: float) -> tuple[float, float
     return win_pay_mu(empirical_market(samples), mu)
 
 
+def quantize_pair(p: float, c: float, grid: int) -> SamplePair:
+    """Snap one (p, c) pair to the 1/grid lattice, the rule that bounds the
+    empirical support when sample streams get very long."""
+    return round(p * grid) / grid, round(c * grid) / grid
+
+
 def quantize_samples(samples: Iterable[SamplePair], grid: int) -> list[SamplePair]:
-    """Snap (p, c) pairs to the 1/grid lattice (used to bound the empirical
-    support when sample streams get very long)."""
+    """``quantize_pair`` applied to every sample."""
     if grid < 1:
         raise ValueError("grid must be >= 1")
-    return [(round(p * grid) / grid, round(c * grid) / grid) for p, c in samples]
+    return [quantize_pair(p, c, grid) for p, c in samples]
 
 
 def _evaluation_grid(a: MarketDistribution, b: MarketDistribution) -> np.ndarray:

@@ -29,8 +29,9 @@ Per-epoch plan reuse: consecutive epochs solve almost identical programs, so
 the planner keeps a small cache of recently optimal bases and re-checks them
 against the updated empirical curves (primal feasibility and reduced costs
 within ``reuse_tolerance``).  When no cached basis certifies, it solves
-again, starting from the first primal-feasible basis in this order: the
-cached bases, most recent first, then the crash vertices, then a phase-1
+again, starting in this order from: the first primal-feasible cached basis,
+most recent first; the most recent cached basis made primal feasible by a
+dual-simplex phase; the first primal-feasible crash vertex; a phase-1
 basis.  Every epoch therefore plays a mixture that is optimal for its own
 empirical program up to ``reuse_tolerance`` per round.  In a degenerate
 program a warm start can end at another optimal vertex than a crash start,
@@ -67,6 +68,7 @@ from .benchmark import (
     state_mixtures,
     verify_basis_values,
 )
+from .estimation import quantize_pair
 from .market import (
     MarketDistribution,
     bid_for,
@@ -133,7 +135,8 @@ class _EmpiricalCurves:
     multipliers and their suffix-sum positions only change when a new pair
     appears, while the suffix sums behind W and P are recomputed per epoch
     from the sample counts, all with the market module's rules.  Pairs are
-    snapped to the 1/Q lattice once the distinct count passes the threshold.
+    snapped to the 1/Q lattice by ``estimation.quantize_pair`` once the
+    distinct count passes the threshold.
     """
 
     def __init__(self, grid: int, threshold: int):
@@ -147,10 +150,7 @@ class _EmpiricalCurves:
         self._cands: Optional[np.ndarray] = None
 
     def add(self, p: float, c: float) -> None:
-        if self.quantizing:
-            p = round(p * self.grid) / self.grid
-            c = round(c * self.grid) / self.grid
-        key = (p, c)
+        key = quantize_pair(p, c, self.grid) if self.quantizing else (p, c)
         if key in self.counts:
             self.counts[key] += 1
             if not self._stale:
@@ -171,7 +171,7 @@ class _EmpiricalCurves:
         old = self.counts
         self.counts = {}
         for (p, c), k in old.items():
-            key = (round(p * self.grid) / self.grid, round(c * self.grid) / self.grid)
+            key = quantize_pair(p, c, self.grid)
             self.counts[key] = self.counts.get(key, 0) + k
         self._stale = True
 
@@ -211,7 +211,8 @@ class _EpochPlanner:
     current epoch's program within the configured tolerance.  Cached bases
     are stored as (state, multiplier value) labels and re-resolved to column
     ids only when the candidate set changes.  A miss re-solves warm, from
-    the cached bases that still map to column ids.
+    the cached bases that still map to column ids: a primal-feasible one, or
+    the most recent one through the dual-simplex phase.
     """
 
     _CACHE = 6
@@ -221,7 +222,7 @@ class _EpochPlanner:
         self.cfg = cfg
         self.cache: list[dict] = []  # {"labels", "ids", "version", decoded arrays}
         self.cold_solves = 0  # every solve_occupancy_problem call, warm or not
-        self.warm_starts = 0  # solves that began from a cached basis
+        self.warm_starts = 0  # solves that began from a cached basis, by either route
         self.reuses = 0
         self._r_vec = reward_vector(reward, cfg.m)
         self._d_buf: Optional[np.ndarray] = None

@@ -14,10 +14,12 @@ import spacing_auctions
 from spacing_auctions.benchmark import (
     InfeasibleOccupancyError,
     BenchResult,
+    _basic_values,
     _basis_matrix,
     _chain_basis,
     _column,
     _crash_bases,
+    _dual_phase,
     _objective_coeffs,
     _ratio_test,
     _reduced_costs,
@@ -261,6 +263,17 @@ def test_ratio_test_reads_round_off_as_zero_and_breaks_ties_by_pivot():
     assert _ratio_test(x_b, -direction, ids, bland=False) == -1
 
 
+def test_ratio_test_with_slack_passes_over_a_tiny_entry():
+    # a primal cleanup after a dual restart met this: a basic value at
+    # -1e-11 over a 1.4e-8 entry undercuts every other row, and pivoting on
+    # it made the basis singular; with slack the next row ties and leaves
+    x_b = np.array([-1.1e-11, 1.03e-5, 0.05])
+    direction = np.array([1.44e-8, 1.0, 1.67])
+    ids = np.array([3, 7, 5])
+    assert _ratio_test(x_b, direction, ids, bland=False) == 0
+    assert _ratio_test(x_b, direction, ids, bland=False, slack=1e-9) == 1
+
+
 def test_verify_basis_accepts_optimal_and_rejects_after_change():
     market = atoms_market((0.6, 1.0, 0.4), (0.2, 0.5, 0.6))
     reward = sqrt_reward()
@@ -365,6 +378,59 @@ def test_unusable_starts_are_skipped():
         assert starts[-1] == list(sol.basis)
         checked += bool(infeasible)
     assert checked >= 10
+
+
+def test_dual_restart_from_infeasible_optimal_basis_reaches_crash_optimum():
+    # perturb W/P until the old optimal basis is nonsingular but primal
+    # infeasible; the dual phase makes it feasible and the solve started
+    # there must reach the crash-start optimum
+    rng = SplitMix64(2025)
+    restarts = dual = 0
+    for _ in range(50):
+        prob, sol, reward = random_problem(rng)
+        n = prob.n_actions
+        for eps in (0.01, 0.03, 0.1, 0.3, 0.3, 0.3):
+            noise = np.array([rng.uniform() - 0.5 for _ in range(2 * n)])
+            prob2 = with_curves(
+                prob, reward, np.clip(prob.w * (1 + eps * noise[:n]), 0.0, 1.0),
+                prob.p * (1 + eps * noise[n:]),
+            )
+            values = _basic_values(prob2, _basis_matrix(prob2, sol.basis))
+            if values is not None and values[0].min() < -1e-9:
+                break
+        else:
+            continue
+        warm = solve_occupancy_problem(prob2, starts=[sol.basis])
+        cold = solve_occupancy_problem(prob2)
+        assert cold.start == -1
+        assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+        assert verify_basis(prob2, warm.basis) is not None
+        restarts += 1
+        dual += warm.start == 0
+    assert restarts >= 30
+    assert dual >= 0.9 * restarts
+
+
+def test_failed_dual_restart_falls_back_to_the_crash_vertex():
+    # a primal-infeasible constant chain start is dual feasible, but the
+    # dual phase from it sometimes runs into its pivot limit
+    rng = SplitMix64(4242)
+    fallbacks = 0
+    for _ in range(50):
+        prob, sol, _ = random_problem(rng)
+        for action in range(prob.n_actions):
+            start = _chain_basis(prob, action)
+            values = _basic_values(prob, _basis_matrix(prob, start))
+            if values is None or values[0].min() >= -1e-9:
+                continue
+            if _dual_phase(prob, list(start), 1e-9):
+                continue
+            solved = solve_occupancy_problem(prob, starts=[start])
+            assert solved.start == -1
+            assert solved.objective == pytest.approx(sol.objective, abs=1e-9)
+            assert start == _chain_basis(prob, action)  # left unmodified
+            fallbacks += 1
+    assert fallbacks >= 2
 
 
 def random_bases(rng: SplitMix64, prob, sol):

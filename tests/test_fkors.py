@@ -1,9 +1,14 @@
 """Tests for the FKORS online learner."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import spacing_auctions
 from spacing_auctions.fkors import FkorsConfig, default_params, regret, run_fkors
 from spacing_auctions.market import MarketDistribution, discretize_uniform, mean_conversion
 from spacing_auctions.records import trace_lines
@@ -234,3 +239,62 @@ def test_warm_starts_count_cold_solves_begun_from_cached_bases():
     assert 0 < fast.config["warm_starts"] <= fast.config["cold_solves"]
     # with reuse off every epoch solves from the crash vertices
     assert slow.config["warm_starts"] == 0
+
+
+def wide_market():
+    """The 500-atom market of the benchmark's wide_market workload."""
+    rng = SplitMix64(5)
+    atoms = []
+    for _ in range(500):
+        p = 0.02 + 0.98 * rng.uniform()
+        c = 0.3 + 0.7 * rng.uniform()
+        atoms.append((p, c, 1.0 / 500))
+    return MarketDistribution.from_tuples(atoms)
+
+
+def wide_runs(seeds=(1, 49), T=300):
+    market = wide_market()
+    return [
+        run_fkors(market, sqrt_reward(), FkorsConfig.from_defaults(0.2, T, mean_conversion(market), seed=s))
+        for s in seeds
+    ]
+
+
+def test_wide_market_misses_restart_from_cached_bases():
+    # nearly every epoch on this market misses the cache; apart from each
+    # run's first solve, the re-solves begin from a cached basis, primal
+    # feasible or made so by the dual phase
+    runs = wide_runs()
+    cold = sum(rec.config["cold_solves"] for rec in runs)
+    warm = sum(rec.config["warm_starts"] for rec in runs)
+    assert cold > 90
+    assert warm >= 0.9 * cold
+
+
+def test_wide_market_cleanup_after_dual_restart_passes_over_tiny_pivots():
+    # seed 48's 36th solve restarts from a basis whose primal cleanup met a
+    # 1.4e-8 pivot entry over a basic value of -1e-11; pivoting on it made
+    # the basis singular
+    (rec,) = wide_runs((48,))
+    assert rec.config["cold_solves"] > 36
+
+
+def test_wide_market_runs_do_not_depend_on_blas_threads():
+    # at T=1000 (m=107) a basis inverse from numpy's LAPACK changed with the
+    # thread count, and seed 1 made 145 or 146 solves
+    src = str(Path(spacing_auctions.__file__).resolve().parents[1])
+    code = (
+        "import sys; sys.path[:0] = sys.argv[1:]; from test_fkors import wide_runs; "
+        "print([(repr(r.utility_true), r.config['cold_solves']) "
+        "for r in wide_runs() + wide_runs((1,), 1000)])"
+    )
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", code, src, str(Path(__file__).resolve().parent)],
+            env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+            capture_output=True, text=True, check=True, timeout=600,
+        ).stdout
+        for threads in ("1", "2")
+    ]
+    assert outputs[0].startswith("[('")
+    assert outputs[0] == outputs[1]
