@@ -40,17 +40,23 @@ Two solution paths exist on purpose:
   letting the learner keep its policy when it is still optimal; only when
   no stored basis certifies does the learner solve again, warm-started from
   those bases.  A check refills the basis matrix from its ``basis_layout``
-  (nonzero positions with values affine in W and P) and solves the primal
-  and dual systems with one LAPACK LU factorization.
+  (Fortran-order flat positions with values affine in W or P) and solves
+  the primal and dual systems with one LAPACK LU factorization.
 
-``state_mixtures`` is the one rule turning occupancy mass into per-state
-mixtures, for ``policy_from_occupancy`` and the learner's per-epoch sampler.
+One rule turns occupancy mass into per-state mixtures.  Its
+mass-independent part, each state's columns in ascending multiplier order,
+is a ``MixtureTemplate``; ``StateMixtures`` binds masses to it and
+normalizes a state's mixture (and its cumulative weights, for draws) on
+first use.  ``state_mixtures`` evaluates it for every state, for
+``policy_from_occupancy``; the learner keeps one template per cached basis.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Optional, Sequence
 
 import numpy as np
@@ -67,6 +73,7 @@ from .rewards import RewardFn, eval_r, eval_r_capped
 from .simplex import LinearProgram
 
 _MASS_TOL = 1e-12
+_ZERO = np.zeros(1)
 Mixture = tuple[list[float], list[float]]  # (multipliers, weights) of one state
 _MAX_PIVOTS = 100_000
 _ROW_STRUCT_CACHE: dict[int, tuple] = {}
@@ -143,6 +150,12 @@ class OccupancyProblem:
         object.__setattr__(self, "slack_id", n_cols)
         object.__setattr__(self, "_own_sel", own_sel)
         object.__setattr__(self, "_next_sel", next_sel)
+        # right-hand side b (zero flow rows, unit mass, budget rho), read-only
+        rhs = np.zeros(n_rows)
+        rhs[-2] = 1.0
+        rhs[-1] = self.rho
+        rhs.flags.writeable = False
+        object.__setattr__(self, "_b", rhs)
 
     def decode(self, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized column id -> (state, action index); slack not allowed."""
@@ -207,32 +220,33 @@ def occupancy_problem(
 
 
 def _rhs(prob: OccupancyProblem) -> np.ndarray:
-    b = np.zeros(prob.n_rows)
-    b[-2] = 1.0
-    b[-1] = prob.rho
-    return b
+    """The problem's right-hand side, built once with it (read-only)."""
+    return prob._b
 
 
 @dataclass(frozen=True)
 class BasisLayout:
-    """Nonzero entries of a basis matrix: entry j sits at (rows[j], cols[j])
-    and equals const[j] + w_coef[j] * W[actions[j]] + p_coef[j] * P[actions[j]].
+    """Nonzero entries of a basis matrix.  Entry j sits at the Fortran-order
+    flat position flat[j] (row + column * n_rows) and equals
+    const[j] + coef[j] * v[src[j]], where v is W followed by P: every entry
+    is affine in one coefficient, W_i or P_i, or constant (coef 0).
 
     The positions depend only on the basis ids, so one layout refills the
     matrix for any coefficients W, P on the same action set."""
 
     ids: np.ndarray
-    rows: np.ndarray
-    cols: np.ndarray
-    actions: np.ndarray
+    flat: np.ndarray
+    src: np.ndarray
     const: np.ndarray
-    w_coef: np.ndarray
-    p_coef: np.ndarray
+    coef: np.ndarray
 
     def fill(self, prob: OccupancyProblem, out: np.ndarray) -> np.ndarray:
-        """Write the entries into the zeroed matrix `out` and return it."""
-        a = self.actions
-        out[self.rows, self.cols] = self.const + self.w_coef * prob.w[a] + self.p_coef * prob.p[a]
+        """Write the entries into the zeroed Fortran-ordered matrix `out`
+        (the layout LAPACK factors in place) and return it."""
+        if not out.flags.f_contiguous:
+            raise ValueError("basis layouts fill Fortran-ordered matrices")
+        v = np.concatenate((prob.w, prob.p))
+        out.reshape(-1, order="F")[self.flat] = self.const + self.coef * v[self.src]
         return out
 
 
@@ -254,34 +268,36 @@ def basis_layout(prob: OccupancyProblem, basis: Sequence[int], art_base: int = -
     states, actions = prob.decode(ids[struct])
     ones = np.ones(s_ks.shape[0])
     zeros = np.zeros(s_ks.shape[0])
-    # (rows, cols, actions, const, w_coef, p_coef) per block of entries
+    izeros = np.zeros(s_ks.shape[0], dtype=int)  # row 0; src of constant entries
+    # (rows, cols, src, const, coef) per block of entries; src < n_actions
+    # reads W, src >= n_actions reads P
     blocks = [
-        (np.full(s_ks.shape[0], R - 2), s_ks, actions, ones, zeros, zeros),
-        (np.full(s_ks.shape[0], R - 1), s_ks, actions, zeros, zeros, ones),
+        (np.full(s_ks.shape[0], R - 2), s_ks, izeros, ones, zeros),
+        (np.full(s_ks.shape[0], R - 1), s_ks, actions + prob.n_actions, zeros, ones),
     ]
     if prob.m >= 2:
-        blocks.append((np.zeros(s_ks.shape[0], dtype=int), s_ks, actions,
-                       (states == 1).astype(float), -ones, zeros))
+        blocks.append((izeros, s_ks, actions, (states == 1).astype(float), -ones))
         own = prob.own_row[states]
         ok = own >= 1
-        blocks.append((own[ok], s_ks[ok], actions[ok], ones[ok], zeros[ok], zeros[ok]))
+        blocks.append((own[ok], s_ks[ok], izeros[ok], ones[ok], zeros[ok]))
         nxt = prob.next_row[states]
         ok = nxt >= 0
-        blocks.append((nxt[ok], s_ks[ok], actions[ok], -ones[ok], ones[ok], zeros[ok]))
+        blocks.append((nxt[ok], s_ks[ok], actions[ok], -ones[ok], ones[ok]))
     identity = ks[art_mask | slack_mask]
     id_rows = np.where(slack_mask[identity], R - 1, ids[identity] - art_base)
     n_id = identity.shape[0]
-    blocks.append((id_rows, identity, np.zeros(n_id, dtype=int),
-                   np.ones(n_id), np.zeros(n_id), np.zeros(n_id)))
-    rows, cols, acts, const, w_coef, p_coef = (np.concatenate(part) for part in zip(*blocks))
-    return BasisLayout(ids, rows, cols, acts, const, w_coef, p_coef)
+    blocks.append((id_rows, identity, np.zeros(n_id, dtype=int), np.ones(n_id), np.zeros(n_id)))
+    rows, cols, src, const, coef = (np.concatenate(part) for part in zip(*blocks))
+    return BasisLayout(ids, rows + cols * R, src, const, coef)
 
 
 def _basis_matrix(prob: OccupancyProblem, basis: Sequence[int], art_base: int = -1) -> np.ndarray:
     """Columns of the reduced system for the given ids, filled from their
-    ``basis_layout``."""
+    ``basis_layout`` (C-ordered, as the simplex's products expect)."""
     layout = basis_layout(prob, basis, art_base)
-    return layout.fill(prob, np.zeros((prob.n_rows, layout.ids.shape[0])))
+    return np.ascontiguousarray(
+        layout.fill(prob, np.zeros((prob.n_rows, layout.ids.shape[0]), order="F"))
+    )
 
 
 def _column(prob: OccupancyProblem, col: int, art_base: int = -1) -> np.ndarray:
@@ -321,7 +337,7 @@ def _state_duals(prob: OccupancyProblem, y: np.ndarray) -> tuple[np.ndarray, np.
     state-1 row's dual (0 when m = 1)."""
     if prob.m == 1:
         return np.zeros(1), np.zeros(1), 0.0
-    y_pad = np.append(y, 0.0)
+    y_pad = np.concatenate((y, _ZERO))
     return y_pad[prob._own_sel], y_pad[prob._next_sel], float(y[0])
 
 
@@ -412,10 +428,10 @@ def _basic_values(
     factors in place, if B is nonsingular (every |U diagonal| >= 1e-13) and
     x_B is finite; None otherwise."""
     lu, piv, _ = _getrf(B, overwrite_a=True)
-    if np.abs(np.diagonal(lu)).min() < 1e-13:
+    if abs(lu.diagonal()).min() < 1e-13:
         return None
     x_b, _ = _getrs(lu, piv, _rhs(prob))
-    if not np.all(np.isfinite(x_b)):
+    if not np.isfinite(x_b).all():
         return None
     return x_b, lu, piv
 
@@ -894,49 +910,114 @@ def build_occupancy_lp(
     return LinearProgram(c=c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub)
 
 
+class MixtureTemplate:
+    """The mass-independent part of turning occupancy columns into per-state
+    mixtures: per state, its columns' positions in ascending multiplier order.
+
+    Column j is (states[j], actions[j]); states must lie in 1..m.  One
+    template serves every mass vector on the same columns, so the learner
+    builds one per cached basis and binds each epoch's basic values to it
+    in a ``StateMixtures``.
+    """
+
+    def __init__(self, prob: OccupancyProblem, states: Sequence[int], actions: Sequence[int]):
+        states = np.asarray(states, dtype=int)
+        mus = prob.mus[np.asarray(actions, dtype=int)]
+        if states.size and (states.min() < 1 or states.max() > prob.m):
+            raise ValueError(f"column states must lie in 1..{prob.m}")
+        order = np.lexsort((mus, states))
+        self.m = prob.m
+        self.bid1_at_m = prob.bid1_at_m
+        self.order = order
+        self.states = states[order]   # column states, ascending
+        self.mus = mus[order].tolist()
+        self.positions = order.tolist()
+        # state l's columns are entries start[l-1]:start[l] of the above
+        self.start = np.searchsorted(self.states, np.arange(1, prob.m + 2)).tolist()
+
+
+class StateMixtures:
+    """Per-state mixtures of one mass vector on a ``MixtureTemplate``.
+
+    Mass at or below 1e-12 is dropped, and a state's multipliers ascend,
+    each weighted by its share of the state's mass (Python ``sum`` in that
+    order).  States without mass carry no information of their own; they
+    play the mixture of their source state: the nearest earlier state with
+    mass, or the first state with mass when the solution parks all mass
+    beyond them.  This constant continuation keeps solved win curves weakly
+    increasing where a skip default would drop them to zero, and the
+    inherited states are visited too rarely for the choice to affect value
+    or spending materially.  When no state carries mass every state skips.
+    State m stays pinned to bid-1 when forced.
+
+    A source state's mixture is normalized when first asked for and kept,
+    so an epoch that consults two states pays for two, not for m.
+    """
+
+    def __init__(self, template: MixtureTemplate, masses: Sequence[float]):
+        masses = np.asarray(masses)
+        self.template = template
+        self._values = masses.tolist()
+        # states carrying mass, ascending, with repeats
+        self._massed = template.states[masses[template.order] > _MASS_TOL].tolist()
+        self._mixtures: dict[int, Mixture] = {}
+        self._draws: list[Optional[Mixture]] = [None] * (template.m + 1)
+
+    def source(self, state: int) -> int:
+        """The state whose mass `state` plays; 0 when no state has mass."""
+        massed = self._massed
+        if not massed:
+            return 0
+        i = bisect_right(massed, state)
+        return massed[i - 1] if i else massed[0]
+
+    def mixture(self, state: int) -> Mixture:
+        """(mus, weights) played in `state`."""
+        t = self.template
+        if state == t.m and t.bid1_at_m:
+            return ([0.0], [1.0])
+        src = self.source(state)
+        if src == 0:
+            return ([SKIP], [1.0])
+        mix = self._mixtures.get(src)
+        if mix is None:
+            values = self._values
+            entries = [
+                (t.mus[k], values[t.positions[k]])
+                for k in range(t.start[src - 1], t.start[src])
+                if values[t.positions[k]] > _MASS_TOL
+            ]
+            entries.sort()  # a no-op unless a multiplier repeats; then by mass
+            total = sum(v for _, v in entries)
+            mix = ([mu for mu, _ in entries], [v / total for _, v in entries])
+            self._mixtures[src] = mix
+        return mix
+
+    def draw_table(self, state: int) -> Mixture:
+        """(mus, cumulative weights) of `state`'s mixture, for drawing an
+        action with one uniform; the last cumulative weight is exactly 1, as
+        a lone weight already is."""
+        table = self._draws[state]
+        if table is None:
+            mus, wts = self.mixture(state)
+            if len(wts) > 1:
+                wts = list(accumulate(wts))
+                wts[-1] = 1.0
+            table = self._draws[state] = (mus, wts)
+        return table
+
+    def all(self) -> list[Mixture]:
+        """The mixtures of states 1..m."""
+        return [self.mixture(state) for state in range(1, self.template.m + 1)]
+
+
 def state_mixtures(
     prob: OccupancyProblem, states: Sequence[int], actions: Sequence[int], masses: Sequence[float]
 ) -> list[Mixture]:
-    """Normalize occupancy mass into per-state (mus, weights) mixtures.
-
-    Column (states[j], actions[j]) carries mass masses[j]; mass at or below
-    1e-12 is dropped, and a state's multipliers ascend, each weighted by its
-    share of the state's mass.  States without mass carry no information of
-    their own; they inherit the nearest earlier reachable state's mixture (or
-    the first reachable one, when the solution parks all mass beyond them).
-    This constant continuation keeps solved win curves weakly increasing
-    where a skip default would drop them to zero, and the inherited states
-    are visited too rarely for the choice to affect value or spending
-    materially.  State m stays pinned to bid-1 when forced.
-    """
-    by_state: dict[int, list[tuple[float, float]]] = {}
-    mus_all = prob.mus
-    for s, a, v in zip(
-        np.asarray(states).tolist(), np.asarray(actions).tolist(), np.asarray(masses).tolist()
-    ):
-        if v > _MASS_TOL:
-            by_state.setdefault(s, []).append((float(mus_all[a]), v))
-    per_state: list[Optional[Mixture]] = []
-    for state in range(1, prob.m + 1):
-        entries = by_state.get(state)
-        if not entries:
-            per_state.append(None)
-            continue
-        entries.sort()
-        total = sum(v for _, v in entries)
-        per_state.append(([mu for mu, _ in entries], [v / total for _, v in entries]))
-    if all(m is None for m in per_state):
-        per_state = [([SKIP], [1.0])] * prob.m
-    else:
-        first = next(i for i, m in enumerate(per_state) if m is not None)
-        for i in range(first):
-            per_state[i] = per_state[first]
-        for i in range(first + 1, prob.m):
-            if per_state[i] is None:
-                per_state[i] = per_state[i - 1]
-    if prob.bid1_at_m:
-        per_state[-1] = ([0.0], [1.0])
-    return per_state
+    """Per-state (mus, weights) mixtures of occupancy mass: column
+    (states[j], actions[j]) carries mass masses[j].  The rule is
+    ``StateMixtures``'s, evaluated for every state."""
+    return StateMixtures(MixtureTemplate(prob, states, actions), masses).all()
 
 
 def policy_from_mixtures(prob: OccupancyProblem, mixtures: list[Mixture]) -> PolicyVec:

@@ -40,24 +40,27 @@ from the crash vertices every epoch.
 
 The planner keeps no copy of a rule another module owns: the empirical
 curves use the market module's candidate rule and suffix sums, a cold solve
-returns its basic values with its basis, and ``benchmark.state_mixtures``
-turns the plan's occupancy mass into the per-state mixtures the sampler
-draws from.
+returns its basic values with its basis, and the benchmark module's mixture
+rule turns the plan's occupancy mass into per-state mixtures.  Each cached
+basis carries a ``benchmark.MixtureTemplate``, built when the basis first
+serves a plan; an epoch binds its basic values to it, and a state's mixture
+and cumulative weights are normalized the first time the epoch consults
+that state.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Optional
 
 import numpy as np
 
 from .baselines import _simulate
 from .benchmark import (
-    Mixture,
+    MixtureTemplate,
     OccupancyProblem,
+    StateMixtures,
     basis_layout,
     cycle_stats_wp,
     occupancy_problem,
@@ -65,7 +68,6 @@ from .benchmark import (
     reward_vector,
     solve_benchmark,
     solve_occupancy_problem,
-    state_mixtures,
     verify_basis_values,
 )
 from .estimation import quantize_pair
@@ -248,7 +250,8 @@ class _EpochPlanner:
     @staticmethod
     def _decorate(entry: dict, prob: OccupancyProblem) -> None:
         """Cache the decoded structure and the basis-matrix layout of an
-        entry's basis ids; `cb` is refilled before each check."""
+        entry's basis ids; `cb` is refilled before each check.  The mixture
+        template is built when the entry first serves a plan."""
         layout = basis_layout(prob, entry["ids"])
         struct = layout.ids != prob.slack_id
         states, actions = prob.decode(layout.ids[struct])
@@ -256,13 +259,15 @@ class _EpochPlanner:
         entry["struct"] = struct
         entry["states"] = states
         entry["actions"] = actions
+        entry["r"] = prob.r[states - 1]  # the run's rewards never change
         entry["cb"] = np.zeros(layout.ids.shape[0])
+        entry["template"] = None
 
     def plan(
         self, curves: tuple[np.ndarray, np.ndarray, np.ndarray], version: int
-    ) -> tuple[OccupancyProblem, np.ndarray, np.ndarray, np.ndarray]:
-        """Plan for the coming epoch; returns (problem, states, actions,
-        masses) with one entry per structural basis column."""
+    ) -> tuple[OccupancyProblem, StateMixtures]:
+        """Plan for the coming epoch: its program and the per-state
+        mixtures of the plan's basis, bound to its basic values."""
         cands, w, p = curves
         prob = occupancy_problem(
             (cands, w, p), self.reward, self.cfg.m, self.cfg.rho, bid1_at_m=True,
@@ -284,7 +289,7 @@ class _EpochPlanner:
                     continue
                 # objective coefficients track the fresh W values
                 cand_entry["cb"][cand_entry["struct"]] = (
-                    prob.r[cand_entry["states"] - 1] * prob.w[cand_entry["actions"]]
+                    cand_entry["r"] * prob.w[cand_entry["actions"]]
                 )
                 x_b = verify_basis_values(
                     prob,
@@ -326,19 +331,9 @@ class _EpochPlanner:
         else:
             self.reuses += 1
             self.cache.insert(0, self.cache.pop(hit))
-        return prob, entry["states"], entry["actions"], x_b[entry["struct"]]
-
-
-def _sampler(mixtures: list[Mixture]) -> list[Mixture]:
-    """Per-state (mus, cumulative weights) for fast action draws; the last
-    cumulative weight is exactly 1, as a lone weight already is."""
-    sampler = []
-    for mus, wts in mixtures:
-        if len(wts) > 1:
-            wts = list(accumulate(wts))
-            wts[-1] = 1.0
-        sampler.append((mus, wts))
-    return sampler
+        if entry["template"] is None:
+            entry["template"] = MixtureTemplate(prob, entry["states"], entry["actions"])
+        return prob, StateMixtures(entry["template"], x_b[entry["struct"]])
 
 
 def run_fkors(
@@ -375,17 +370,15 @@ def run_fkors(
     fake = 1
     epoch = 0
     epoch_start = 0          # rounds before this epoch
-    sampler: list[Mixture] = []
+    mixtures: Optional[StateMixtures] = None
     uniform = rng.uniform
 
     def plan() -> None:
-        nonlocal sampler, fake
-        prob, p_states, p_actions, p_masses = planner.plan(curves.curves(), curves.version)
-        mixtures = state_mixtures(prob, p_states, p_actions, p_masses)
-        sampler = _sampler(mixtures)
+        nonlocal mixtures, fake
+        prob, mixtures = planner.plan(curves.curves(), curves.version)
         fake = 1
         if diags is not None:
-            w_vec, p_vec = policy_from_mixtures(prob, mixtures).action_curves(market)
+            w_vec, p_vec = policy_from_mixtures(prob, mixtures.all()).action_curves(market)
             stats = cycle_stats_wp(w_vec, p_vec, reward, m)
             r_avg = 0.0 if stats.degenerate else stats.reward_avg
             c_avg = 0.0 if stats.degenerate else stats.pay_avg
@@ -402,7 +395,7 @@ def run_fkors(
     def choose(_t: int, c: float) -> Optional[float]:
         if epoch == 0:
             return None
-        mus, cums = sampler[fake - 1]
+        mus, cums = mixtures.draw_table(fake)
         u = uniform()  # one mixture draw whenever the policy is consulted
         j = 0
         while cums[j] < u:

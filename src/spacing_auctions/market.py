@@ -107,9 +107,15 @@ def suffix_sums(prob: np.ndarray, p: np.ndarray, c: np.ndarray) -> tuple[np.ndar
     """W and P suffix sums over ratio-sorted atoms: entry i sums prob*c (prob*p)
     over atoms i.., the ones won when mu <= the i-th ratio, and a trailing 0
     serves mu = inf.  Clipped: cumulative rounding must not leave [0, 1]."""
-    wc = np.clip(np.concatenate((np.cumsum((prob * c)[::-1])[::-1], [0.0])), 0.0, 1.0)
-    wp = np.clip(np.concatenate((np.cumsum((prob * p)[::-1])[::-1], [0.0])), 0.0, 1.0)
-    return wc, wp
+    n = prob.shape[0]
+    out = np.zeros((2, n + 1))
+    # each sum accumulates from the last atom, written straight into a
+    # reversed view of its row
+    (prob * c)[::-1].cumsum(out=out[0, :n][::-1])
+    (prob * p)[::-1].cumsum(out=out[1, :n][::-1])
+    np.maximum(out, 0.0, out=out)
+    np.minimum(out, 1.0, out=out)
+    return out[0], out[1]
 
 
 def curve_positions(sorted_ratio: np.ndarray, mus: np.ndarray) -> np.ndarray:

@@ -139,6 +139,7 @@ def test_criterion_7_gc_scaling():
     assert res.seconds < 60.0
 
 
+@pytest.mark.slow
 def test_criterion_8_fkors_behavior():
     t0 = time.perf_counter()
     seeds = list(range(1, 21))

@@ -4,16 +4,20 @@ import math
 import subprocess
 import sys
 import warnings
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spacing_auctions
 from spacing_auctions.benchmark import (
     InfeasibleOccupancyError,
     BenchResult,
+    MixtureTemplate,
     _basic_values,
     _basis_matrix,
     _chain_basis,
@@ -41,6 +45,8 @@ from spacing_auctions.benchmark import (
     reach_probabilities,
     solve_benchmark,
     solve_occupancy_problem,
+    StateMixtures,
+    state_mixtures,
     stationary,
     verify_basis,
 )
@@ -688,3 +694,123 @@ def test_policy_from_occupancy_defaults():
         occupancy_problem((actions, w, p), cap_linear_reward(2), 3, 0.4, False), {}
     )
     assert all(mix == ((SKIP, 1.0),) for mix in empty.states)
+
+
+# ---------------------------------------------------------------------------
+# mass-to-mixture rule
+
+
+def reference_state_mixtures(prob, states, actions, masses):
+    """The rule as a single pass over all states, written out directly."""
+    by_state = {}
+    for s, a, v in zip(
+        np.asarray(states).tolist(), np.asarray(actions).tolist(), np.asarray(masses).tolist()
+    ):
+        if v > 1e-12:
+            by_state.setdefault(s, []).append((float(prob.mus[a]), v))
+    per_state = []
+    for state in range(1, prob.m + 1):
+        entries = by_state.get(state)
+        if not entries:
+            per_state.append(None)
+            continue
+        entries.sort()
+        total = sum(v for _, v in entries)
+        per_state.append(([mu for mu, _ in entries], [v / total for _, v in entries]))
+    if all(mix is None for mix in per_state):
+        per_state = [([SKIP], [1.0])] * prob.m
+    else:
+        first = next(i for i, mix in enumerate(per_state) if mix is not None)
+        for i in range(first):
+            per_state[i] = per_state[first]
+        for i in range(first + 1, prob.m):
+            if per_state[i] is None:
+                per_state[i] = per_state[i - 1]
+    if prob.bid1_at_m:
+        per_state[-1] = ([0.0], [1.0])
+    return per_state
+
+
+def reference_cumulative(mixture):
+    mus, wts = mixture
+    if len(wts) > 1:
+        wts = list(accumulate(wts))
+        wts[-1] = 1.0
+    return mus, wts
+
+
+_TOL = 1e-12
+# masses just below, at and above the drop threshold, zero and ordinary ones
+_MASS = st.one_of(
+    st.sampled_from([0.0, np.nextafter(_TOL, 0.0), _TOL, np.nextafter(_TOL, 1.0), 1e-9]),
+    st.floats(1e-6, 1.0),
+)
+
+
+def mixture_problem(m, bid1_at_m, n_mid):
+    mus = np.array([0.0, *np.linspace(0.5, 3.0, n_mid), math.inf])
+    w = np.linspace(1.0, 0.0, mus.shape[0])
+    return occupancy_problem((mus, w, 0.5 * w), sqrt_reward(), m, 0.3, bid1_at_m)
+
+
+@st.composite
+def mixture_cases(draw):
+    m = draw(st.sampled_from([1, 2, 3, 5, 8]))
+    prob = mixture_problem(m, draw(st.booleans()), draw(st.integers(0, 3)))
+    cols = draw(st.lists(
+        st.tuples(st.integers(1, m), st.integers(0, prob.n_actions - 1)),
+        unique=True, max_size=3 * m,
+    ))
+    masses = [draw(_MASS) for _ in cols]
+    order = draw(st.permutations(range(1, m + 1)))
+    return prob, [s for s, _ in cols], [a for _, a in cols], masses, order
+
+
+def assert_one_rule(prob, states, actions, masses, order):
+    want = reference_state_mixtures(prob, states, actions, masses)
+    assert repr(state_mixtures(prob, states, actions, masses)) == repr(want)
+    # states consulted lazily, in any order, draw what the full rule gives
+    lazy = StateMixtures(MixtureTemplate(prob, states, actions), np.asarray(masses, dtype=float))
+    for state in order:
+        assert repr(lazy.draw_table(state)) == repr(reference_cumulative(want[state - 1]))
+        assert repr(lazy.mixture(state)) == repr(want[state - 1])
+
+
+@settings(max_examples=400, deadline=None)
+@given(mixture_cases())
+def test_mixture_template_matches_the_one_pass_rule(case):
+    assert_one_rule(*case)
+
+
+@pytest.mark.parametrize("bid1_at_m", [False, True])
+@pytest.mark.parametrize(
+    "m, masses_by_state",
+    [
+        (1, {}),                                  # all empty: skip
+        (1, {1: [0.3]}),
+        (2, {2: [0.7]}),                          # mass only in state m
+        (2, {1: [0.25, 0.75]}),                   # trailing empty state
+        (5, {3: [0.4, 0.1]}),                     # leading and trailing empties
+        (5, {1: [0.5], 4: [0.2, 0.3]}),           # interior empties
+        (5, {2: [1e-12], 3: [np.nextafter(1e-12, 1.0)]}),  # at / above the drop
+        (5, {5: [0.6, 0.4]}),                     # mass only in state m
+        (5, {s: [0.0] for s in range(1, 6)}),     # columns, but all empty
+    ],
+)
+def test_mixture_template_edge_cases(bid1_at_m, m, masses_by_state):
+    prob = mixture_problem(m, bid1_at_m, 3)
+    states, actions, masses = [], [], []
+    for s, vals in masses_by_state.items():
+        for a, v in enumerate(vals, start=1):
+            states.append(s)
+            actions.append(a)
+            masses.append(v)
+    assert_one_rule(prob, states, actions, masses, list(range(m, 0, -1)))
+
+
+def test_mixture_template_rejects_states_outside_the_chain():
+    prob = mixture_problem(3, False, 1)
+    with pytest.raises(ValueError):
+        MixtureTemplate(prob, [4], [0])
+    with pytest.raises(ValueError):
+        MixtureTemplate(prob, [0], [0])

@@ -10,7 +10,12 @@ import pytest
 
 import spacing_auctions
 from spacing_auctions.fkors import FkorsConfig, default_params, regret, run_fkors
-from spacing_auctions.market import MarketDistribution, discretize_uniform, mean_conversion
+from spacing_auctions.market import (
+    MarketDistribution,
+    discretize_uniform,
+    market_from_config,
+    mean_conversion,
+)
 from spacing_auctions.records import trace_lines
 from spacing_auctions.rewards import cap_linear_reward, eval_r, sqrt_reward
 from spacing_auctions.rng import SplitMix64
@@ -175,6 +180,22 @@ def test_diagnostics_populated():
     assert rec.diagnostics, "diagnostics requested but missing"
     for d in rec.diagnostics:
         assert d.eps_r >= 0.0 and d.eps_c >= 0.0
+
+
+def test_diagnostics_do_not_change_the_run():
+    # diagnostics evaluate every state's mixture each epoch, while the run
+    # itself normalizes only the states it consults: both must play alike
+    market = market_from_config({"type": "uniform_grid", "K": 50})
+    cfg = FkorsConfig.from_defaults(0.2, 1000, mean_conversion(market), seed=11)
+    plain, diagnosed = (
+        run_fkors(market, sqrt_reward(), cfg, trace=True, diagnostics=flag) for flag in (False, True)
+    )
+    assert plain.diagnostics is None and diagnosed.diagnostics
+    assert repr(diagnosed.utility_true) == repr(plain.utility_true)
+    assert diagnosed.rounds == plain.rounds and diagnosed.epochs == plain.epochs
+    for key in ("cold_solves", "warm_starts", "reused_plans"):
+        assert diagnosed.config[key] == plain.config[key]
+    assert plain.config["reused_plans"] > plain.config["cold_solves"] > 0
 
 
 def test_regret_definition():

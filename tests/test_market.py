@@ -17,6 +17,7 @@ from spacing_auctions.market import (
     market_from_config,
     mean_conversion,
     mean_price,
+    suffix_sums,
     win_pay_curve,
     win_pay_mu,
 )
@@ -208,3 +209,36 @@ def test_market_from_config():
     assert len(g) == 3
     with pytest.raises(ValueError):
         market_from_config({"type": "gaussian"})
+
+
+def reference_suffix_sums(prob, p, c):
+    """Reversed cumulative sums with a trailing 0, clipped to [0, 1]."""
+    wc = np.clip(np.concatenate((np.cumsum((prob * c)[::-1])[::-1], [0.0])), 0.0, 1.0)
+    wp = np.clip(np.concatenate((np.cumsum((prob * p)[::-1])[::-1], [0.0])), 0.0, 1.0)
+    return wc, wp
+
+
+def test_suffix_sums_bitwise_equal_to_reference():
+    rng = np.random.default_rng(17)
+    ones = np.ones(3)
+    # these probabilities sum to 1 + 2^-52 when accumulated from the end
+    above = np.array([0.28571428571428575, 0.33333333333333337, 0.38095238095238104])
+    assert np.cumsum(above[::-1])[-1] > 1.0
+    cases = [
+        (np.array([1.0]), np.array([0.4]), np.array([0.9])),        # single atom
+        (np.array([0.0, 1.0, 0.0]), rng.random(3), rng.random(3)),  # zero probabilities
+        (above, ones, ones),                                        # clipped to 1
+    ]
+    for n in (1, 2, 3, 51, 500):
+        for _ in range(50):
+            prob = rng.random(n)
+            prob[rng.random(n) < 0.2] = 0.0
+            prob /= max(prob.sum(), 1e-300)
+            cases.append((prob, rng.random(n), rng.random(n)))
+    for prob, p, c in cases:
+        got, want = suffix_sums(prob, p, c), reference_suffix_sums(prob, p, c)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape == (prob.shape[0] + 1,)
+            assert g.tobytes() == w.tobytes()
+    wc, wp = suffix_sums(above, ones, ones)
+    assert wc[0] == wp[0] == 1.0 and wc[-1] == wp[-1] == 0.0
