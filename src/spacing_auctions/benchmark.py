@@ -40,8 +40,11 @@ Two solution paths exist on purpose:
   letting the learner keep its policy when it is still optimal; only when
   no stored basis certifies does the learner solve again, warm-started from
   those bases.  A check refills the basis matrix from its ``basis_layout``
-  (Fortran-order flat positions with values affine in W or P) and solves
-  the primal and dual systems with one LAPACK LU factorization.
+  (Fortran-order flat positions with values affine in W or P), builds the
+  basis costs from the columns the layout decoded, and solves the primal
+  and dual systems with one LAPACK LU factorization.  ``OccupancyProblem``
+  is the one home of the column encoding (``encode``, ``decode``) and of a
+  column's objective coefficient r(l) W_i.
 
 One rule turns occupancy mass into per-state mixtures.  Its
 mass-independent part, each state's columns in ascending multiplier order,
@@ -99,7 +102,12 @@ class OccupancyProblem:
     Rows (m >= 2): state-1 inflow, chain rows for states 2..m-1, total mass,
     budget.  For m = 1 only mass and budget remain.  ``own_row[l]`` is the
     flow row owned by state l and ``next_row[l]`` the row fed by its no-win
-    transition (-1 when the row was dropped as redundant).
+    transition (-1 when the row was dropped as redundant).  ``b`` is the
+    right-hand side (zero flow rows, unit mass, budget rho), read-only.
+
+    The problem owns the column encoding: column (l, i) has id
+    (l - 1) * n_actions + i, except that under forced bid-1 state m has the
+    single column (m - 1) * n_actions, for bid 1.  The slack comes last.
     """
 
     m: int
@@ -119,6 +127,7 @@ class OccupancyProblem:
     n_rows: int = field(repr=False, default=0)
     n_cols: int = field(repr=False, default=0)
     slack_id: int = field(repr=False, default=0)
+    b: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
         m = self.m
@@ -150,32 +159,41 @@ class OccupancyProblem:
         object.__setattr__(self, "slack_id", n_cols)
         object.__setattr__(self, "_own_sel", own_sel)
         object.__setattr__(self, "_next_sel", next_sel)
-        # right-hand side b (zero flow rows, unit mass, budget rho), read-only
         rhs = np.zeros(n_rows)
         rhs[-2] = 1.0
         rhs[-1] = self.rho
         rhs.flags.writeable = False
-        object.__setattr__(self, "_b", rhs)
+        object.__setattr__(self, "b", rhs)
+
+    def encode(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
+        """Vectorized (state, action index) -> column id; inverse of ``decode``."""
+        states = np.asarray(states, dtype=int)
+        actions = np.asarray(actions, dtype=int)
+        if self.bid1_at_m:
+            last = states == self.m
+            if np.any(actions[last] != self.bid1_idx):
+                raise ValueError("under forced bid-1, state m has only the bid-1 column")
+            actions = np.where(last, 0, actions)
+        return (states - 1) * self.n_actions + actions
 
     def decode(self, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized column id -> (state, action index); slack not allowed."""
-        n = self.n_actions
-        base = (self.m - 1) * n
-        states = np.where(cols < base, cols // n + 1, self.m)
+        states, actions = np.divmod(np.asarray(cols, dtype=int), self.n_actions)
+        states += 1
         if self.bid1_at_m:
-            actions = np.where(cols < base, cols % n, self.bid1_idx)
-        else:
-            actions = np.where(cols < base, cols % n, cols - base)
-        return states.astype(int), actions.astype(int)
+            actions[states == self.m] = self.bid1_idx
+        return states, actions
 
-    def col_of(self, state: int, action: int) -> Optional[int]:
-        n = self.n_actions
-        if state < self.m:
-            return (state - 1) * n + action
-        base = (self.m - 1) * n
-        if self.bid1_at_m:
-            return base if action == self.bid1_idx else None
-        return base + action
+    def decode_one(self, col: int) -> tuple[int, int]:
+        """Scalar ``decode``, for the pivot loop."""
+        state, action = divmod(col, self.n_actions)
+        if self.bid1_at_m and state == self.m - 1:
+            action = self.bid1_idx
+        return state + 1, action
+
+    def objective(self, states, actions):
+        """Objective coefficients r(l) W_i of columns (l, i): arrays or scalars."""
+        return self.r[states - 1] * self.w[actions]
 
 
 def reward_vector(reward: RewardFn, m: int) -> np.ndarray:
@@ -219,11 +237,6 @@ def occupancy_problem(
 # structured revised simplex
 
 
-def _rhs(prob: OccupancyProblem) -> np.ndarray:
-    """The problem's right-hand side, built once with it (read-only)."""
-    return prob._b
-
-
 @dataclass(frozen=True)
 class BasisLayout:
     """Nonzero entries of a basis matrix.  Entry j sits at the Fortran-order
@@ -232,13 +245,18 @@ class BasisLayout:
     is affine in one coefficient, W_i or P_i, or constant (coef 0).
 
     The positions depend only on the basis ids, so one layout refills the
-    matrix for any coefficients W, P on the same action set."""
+    matrix for any coefficients W, P on the same action set.  It keeps the
+    decoded structural columns too: `struct` masks them among the ids, and
+    column k of them is (states[k], actions[k])."""
 
     ids: np.ndarray
     flat: np.ndarray
     src: np.ndarray
     const: np.ndarray
     coef: np.ndarray
+    struct: np.ndarray
+    states: np.ndarray
+    actions: np.ndarray
 
     def fill(self, prob: OccupancyProblem, out: np.ndarray) -> np.ndarray:
         """Write the entries into the zeroed Fortran-ordered matrix `out`
@@ -288,7 +306,7 @@ def basis_layout(prob: OccupancyProblem, basis: Sequence[int], art_base: int = -
     n_id = identity.shape[0]
     blocks.append((id_rows, identity, np.zeros(n_id, dtype=int), np.ones(n_id), np.zeros(n_id)))
     rows, cols, src, const, coef = (np.concatenate(part) for part in zip(*blocks))
-    return BasisLayout(ids, rows + cols * R, src, const, coef)
+    return BasisLayout(ids, rows + cols * R, src, const, coef, struct, states, actions)
 
 
 def _basis_matrix(prob: OccupancyProblem, basis: Sequence[int], art_base: int = -1) -> np.ndarray:
@@ -310,14 +328,7 @@ def _column(prob: OccupancyProblem, col: int, art_base: int = -1) -> np.ndarray:
     if col == prob.slack_id:
         a[R - 1] = 1.0
         return a
-    n = prob.n_actions
-    base = (prob.m - 1) * n
-    if col < base:
-        state = col // n + 1
-        action = col % n
-    else:
-        state = prob.m
-        action = prob.bid1_idx if prob.bid1_at_m else col - base
+    state, action = prob.decode_one(col)
     wi = prob.w[action]
     if prob.m >= 2:
         a[0] -= wi
@@ -369,27 +380,20 @@ def _reduced_costs(
     return out
 
 
-def _objective_coeffs(prob: OccupancyProblem, basis: Sequence[int], art_base: int = -1) -> np.ndarray:
+def _objective_coeffs(prob: OccupancyProblem, basis: Sequence[int]) -> np.ndarray:
+    """Objective coefficients of the basis ids (0 for slack and artificials)."""
     ids = np.asarray(basis, dtype=int)
     out = np.zeros(ids.shape[0])
     struct = ids < prob.slack_id
     if np.any(struct):
-        states, actions = prob.decode(ids[struct])
-        out[struct] = prob.r[states - 1] * prob.w[actions]
+        out[struct] = prob.objective(*prob.decode(ids[struct]))
     return out
 
 
 def _objective_coeff_one(prob: OccupancyProblem, col: int) -> float:
     if col >= prob.slack_id:
         return 0.0
-    n = prob.n_actions
-    base = (prob.m - 1) * n
-    if col < base:
-        state, action = col // n + 1, col % n
-    else:
-        state = prob.m
-        action = prob.bid1_idx if prob.bid1_at_m else col - base
-    return float(prob.r[state - 1] * prob.w[action])
+    return float(prob.objective(*prob.decode_one(col)))
 
 
 @dataclass(frozen=True)
@@ -413,7 +417,7 @@ def _solution_from_basis(
     if np.any(keep):
         states, actions = prob.decode(ids[keep])
         vals = x_b[keep]
-        obj = float(np.sum(prob.r[states - 1] * prob.w[actions] * vals))
+        obj = float(np.sum(prob.objective(states, actions) * vals))
         pay = float(np.sum(prob.p[actions] * vals))
         for s, i, v in zip(states.tolist(), actions.tolist(), vals.tolist()):
             key = (s, i)
@@ -430,7 +434,7 @@ def _basic_values(
     lu, piv, _ = _getrf(B, overwrite_a=True)
     if abs(lu.diagonal()).min() < 1e-13:
         return None
-    x_b, _ = _getrs(lu, piv, _rhs(prob))
+    x_b, _ = _getrs(lu, piv, prob.b)
     if not np.isfinite(x_b).all():
         return None
     return x_b, lu, piv
@@ -449,20 +453,22 @@ def _primal_values(
 def verify_basis_values(
     prob: OccupancyProblem,
     layout: BasisLayout,
-    cb: np.ndarray,
     primal_tol: float = 1e-9,
     dual_tol: float = 1e-9,
     d_buf: Optional[np.ndarray] = None,
 ) -> Optional[np.ndarray]:
     """x_B of the basis `layout.ids` if it is primal feasible and within
-    dual_tol of optimal for `prob`; None otherwise.  `cb` must hold the
-    basis's objective coefficients.  One LU factorization of the refilled
-    basis matrix serves both the primal and the dual solve."""
+    dual_tol of optimal for `prob`; None otherwise.  The basis costs come
+    from the layout's decoded columns and `prob`'s rewards and W.  One LU
+    factorization of the refilled basis matrix serves both the primal and
+    the dual solve."""
     R = prob.n_rows
     primal = _primal_values(prob, layout.fill(prob, np.zeros((R, R), order="F")), primal_tol)
     if primal is None:
         return None
     x_b, lu, piv = primal
+    cb = np.zeros(R)
+    cb[layout.struct] = prob.objective(layout.states, layout.actions)
     y, _ = _getrs(lu, piv, cb, trans=1)
     d = _reduced_costs(prob, y, phase1=False, out=d_buf)
     d[layout.ids] = -np.inf
@@ -481,9 +487,7 @@ def verify_basis(
     dual_tol of optimal for `prob`; None otherwise."""
     if not _valid_ids(prob, basis):
         return None
-    x_b = verify_basis_values(
-        prob, basis_layout(prob, basis), _objective_coeffs(prob, basis), primal_tol, dual_tol
-    )
+    x_b = verify_basis_values(prob, basis_layout(prob, basis), primal_tol, dual_tol)
     if x_b is None:
         return None
     return _solution_from_basis(prob, basis, x_b)
@@ -497,10 +501,9 @@ def _valid_ids(prob: OccupancyProblem, basis: Sequence[int]) -> bool:
 
 def _chain_basis(prob: OccupancyProblem, action: int) -> list[int]:
     """Play one action in states 1..m-1 and bid 1 in state m."""
-    cols = [prob.col_of(state, action) for state in range(1, prob.m)]
-    cols.append(prob.col_of(prob.m, prob.bid1_idx))
-    cols.append(prob.slack_id)
-    return cols
+    actions = np.full(prob.m, action)
+    actions[-1] = prob.bid1_idx
+    return prob.encode(np.arange(1, prob.m + 1), actions).tolist() + [prob.slack_id]
 
 
 def _crash_bases(prob: OccupancyProblem) -> list[list[int]]:
@@ -561,7 +564,7 @@ def _simplex_loop(
     basis; they price at -1 and may only leave.
     """
     R = prob.n_rows
-    b = _rhs(prob)
+    b = prob.b
     art_base = prob.slack_id + 1
     B = _basis_matrix(prob, basis, art_base)
     b_inv = _inverse(B)
@@ -575,7 +578,7 @@ def _simplex_loop(
     if phase1:
         cb = np.where(basis_arr >= art_base, -1.0, 0.0)
     else:
-        cb = _objective_coeffs(prob, basis, art_base)
+        cb = _objective_coeffs(prob, basis)
     d_buf = np.empty(prob.n_cols + 1)
     for _ in range(_MAX_PIVOTS):
         y = b_inv.T @ cb
@@ -689,7 +692,7 @@ def _dual_phase(prob: OccupancyProblem, basis: list[int], tol: float) -> bool:
     off) or after 4 pivots per row.
     """
     R = prob.n_rows
-    b = _rhs(prob)
+    b = prob.b
     B = _basis_matrix(prob, basis)
     b_inv = _inverse(B)  # the caller checked that B is nonsingular
     x_b = b_inv @ b
@@ -883,7 +886,7 @@ def build_occupancy_lp(
     n_cols = prob.n_cols
     ids = np.arange(n_cols)
     states, acts = prob.decode(ids)
-    c = prob.r[states - 1] * prob.w[acts]
+    c = prob.objective(states, acts)
     a_ub = prob.p[acts][None, :].copy()
     b_ub = np.array([rho])
     if m == 1:

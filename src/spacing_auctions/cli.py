@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from .baselines import warmup_ratio
-from .benchmark import solve_benchmark, win_pay_mu
+from .benchmark import solve_benchmark
 from .harness import (
     load_config,
     reference_m,
@@ -21,7 +21,7 @@ from .harness import (
     validate_suite,
     SUMMARY_HEADER,
 )
-from .market import mean_conversion
+from .market import mean_conversion, win_pay_mu
 
 
 def _fmt(x: float) -> str:

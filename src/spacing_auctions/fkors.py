@@ -41,11 +41,12 @@ from the crash vertices every epoch.
 The planner keeps no copy of a rule another module owns: the empirical
 curves use the market module's candidate rule and suffix sums, a cold solve
 returns its basic values with its basis, and the benchmark module's mixture
-rule turns the plan's occupancy mass into per-state mixtures.  Each cached
-basis carries a ``benchmark.MixtureTemplate``, built when the basis first
-serves a plan; an epoch binds its basic values to it, and a state's mixture
-and cumulative weights are normalized the first time the epoch consults
-that state.
+rule turns the plan's occupancy mass into per-state mixtures, and the
+benchmark module's ``OccupancyProblem`` encodes (state, action) columns as
+ids.  Each cached basis carries a ``benchmark.MixtureTemplate``, built when
+the basis first serves a plan; an epoch binds its basic values to it, and a
+state's mixture and cumulative weights are normalized the first time the
+epoch consults that state.
 """
 
 from __future__ import annotations
@@ -204,17 +205,49 @@ class _EmpiricalCurves:
         return self._cands, wc[self._positions], wp[self._positions]
 
 
+class _CachedBasis:
+    """A recently optimal basis, kept as what outlives a change of the
+    candidate set: the mask of its structural columns, their states and
+    their multiplier values.  `layout` (None while a multiplier is not a
+    candidate) and the mixture `template` belong to the candidate set of
+    `version`; the template is built when the basis first serves a plan."""
+
+    __slots__ = ("struct", "states", "mus", "version", "layout", "template")
+
+    def __init__(self, prob: OccupancyProblem, basis, version: int):
+        self.layout = basis_layout(prob, basis)
+        self.struct = self.layout.struct
+        self.states = self.layout.states
+        self.mus = prob.mus[self.layout.actions]
+        self.version = version
+        self.template: Optional[MixtureTemplate] = None
+
+    def remap(self, prob: OccupancyProblem, version: int) -> None:
+        """Move the basis onto `prob`'s candidate set, numbered `version`."""
+        self.version = version
+        self.template = None
+        cands = prob.mus
+        pos = np.searchsorted(cands, self.mus)
+        if np.any(cands[np.minimum(pos, cands.shape[0] - 1)] != self.mus):
+            self.layout = None
+            return
+        ids = np.full(self.struct.shape[0], prob.slack_id)
+        ids[self.struct] = prob.encode(self.states, pos)
+        self.layout = basis_layout(prob, ids)
+
+
 class _EpochPlanner:
     """Per-epoch plan: verified reuse of recently optimal bases, else cold.
 
     The optimum tends to wander among a handful of neighbouring vertices as
     the empirical curves drift, so a tiny move-to-front cache of bases
     absorbs most re-solves; every plan served is certified optimal for the
-    current epoch's program within the configured tolerance.  Cached bases
-    are stored as (state, multiplier value) labels and re-resolved to column
-    ids only when the candidate set changes.  A miss re-solves warm, from
-    the cached bases that still map to column ids: a primal-feasible one, or
-    the most recent one through the dual-simplex phase.
+    current epoch's program within the configured tolerance.  A cached
+    basis (``_CachedBasis``) is re-encoded into column ids, and its layout
+    rebuilt, only when the candidate set changes; verification builds the
+    basis costs itself.  A miss re-solves warm, from the cached bases whose
+    multipliers are all still candidates: a primal-feasible one, or the most
+    recent one through the dual-simplex phase.
     """
 
     _CACHE = 6
@@ -222,46 +255,12 @@ class _EpochPlanner:
     def __init__(self, reward: RewardFn, cfg: FkorsConfig):
         self.reward = reward
         self.cfg = cfg
-        self.cache: list[dict] = []  # {"labels", "ids", "version", decoded arrays}
+        self.cache: list[_CachedBasis] = []
         self.cold_solves = 0  # every solve_occupancy_problem call, warm or not
         self.warm_starts = 0  # solves that began from a cached basis, by either route
         self.reuses = 0
         self._r_vec = reward_vector(reward, cfg.m)
         self._d_buf: Optional[np.ndarray] = None
-
-    @staticmethod
-    def _map_labels(labels: list, cands: np.ndarray, prob: OccupancyProblem) -> Optional[list[int]]:
-        mus = [lab[2] for lab in labels if lab[0] == "s"]
-        pos = np.searchsorted(cands, np.array(mus))
-        if np.any(pos >= cands.shape[0]) or np.any(cands[np.minimum(pos, cands.shape[0] - 1)] != mus):
-            return None
-        it = iter(pos.tolist())
-        ids = []
-        for lab in labels:
-            if lab[0] == "s":
-                col = prob.col_of(lab[1], next(it))
-                if col is None:
-                    return None
-                ids.append(col)
-            else:
-                ids.append(prob.slack_id)
-        return ids
-
-    @staticmethod
-    def _decorate(entry: dict, prob: OccupancyProblem) -> None:
-        """Cache the decoded structure and the basis-matrix layout of an
-        entry's basis ids; `cb` is refilled before each check.  The mixture
-        template is built when the entry first serves a plan."""
-        layout = basis_layout(prob, entry["ids"])
-        struct = layout.ids != prob.slack_id
-        states, actions = prob.decode(layout.ids[struct])
-        entry["layout"] = layout
-        entry["struct"] = struct
-        entry["states"] = states
-        entry["actions"] = actions
-        entry["r"] = prob.r[states - 1]  # the run's rewards never change
-        entry["cb"] = np.zeros(layout.ids.shape[0])
-        entry["template"] = None
 
     def plan(
         self, curves: tuple[np.ndarray, np.ndarray, np.ndarray], version: int
@@ -276,64 +275,39 @@ class _EpochPlanner:
         if self._d_buf is None or self._d_buf.shape[0] != prob.n_cols + 1:
             self._d_buf = np.empty(prob.n_cols + 1)
         x_b = None
-        hit = -1
-        entry = None
         if self.cfg.reuse_tolerance > 0.0:
-            for idx, cand_entry in enumerate(self.cache):
-                if cand_entry["version"] != version:
-                    cand_entry["ids"] = self._map_labels(cand_entry["labels"], cands, prob)
-                    cand_entry["version"] = version
-                    if cand_entry["ids"] is not None:
-                        self._decorate(cand_entry, prob)
-                if cand_entry["ids"] is None:
+            for idx, entry in enumerate(self.cache):
+                if entry.version != version:
+                    entry.remap(prob, version)
+                if entry.layout is None:
                     continue
-                # objective coefficients track the fresh W values
-                cand_entry["cb"][cand_entry["struct"]] = (
-                    cand_entry["r"] * prob.w[cand_entry["actions"]]
-                )
                 x_b = verify_basis_values(
                     prob,
-                    cand_entry["layout"],
-                    cand_entry["cb"],
+                    entry.layout,
                     primal_tol=1e-7,
                     dual_tol=self.cfg.reuse_tolerance,
                     d_buf=self._d_buf,
                 )
                 if x_b is not None:
-                    hit = idx
-                    entry = cand_entry
+                    self.reuses += 1
+                    self.cache.insert(0, self.cache.pop(idx))
                     break
         if x_b is None:
             # with reuse off, every epoch solves from the crash vertices
             starts = (
-                [e["ids"] for e in self.cache if e["ids"] is not None]
+                [e.layout.ids.tolist() for e in self.cache if e.layout is not None]
                 if self.cfg.reuse_tolerance > 0.0 else []
             )
             sol = solve_occupancy_problem(prob, starts=starts)
             self.cold_solves += 1
             self.warm_starts += sol.start >= 0
-            ids = np.asarray(sol.basis)
-            struct = ids != prob.slack_id
-            states, actions = prob.decode(ids[struct])
-            struct_labels = iter(
-                ("s", int(s), float(cands[i]))
-                for s, i in zip(states.tolist(), actions.tolist())
-            )
-            labels = [
-                ("slack",) if col == prob.slack_id else next(struct_labels)
-                for col in sol.basis
-            ]
-            entry = {"labels": labels, "ids": list(sol.basis), "version": version}
-            self._decorate(entry, prob)
-            self.cache.insert(0, entry)
+            self.cache.insert(0, _CachedBasis(prob, sol.basis, version))
             del self.cache[self._CACHE:]
             x_b = sol.x_b
-        else:
-            self.reuses += 1
-            self.cache.insert(0, self.cache.pop(hit))
-        if entry["template"] is None:
-            entry["template"] = MixtureTemplate(prob, entry["states"], entry["actions"])
-        return prob, StateMixtures(entry["template"], x_b[entry["struct"]])
+        entry = self.cache[0]
+        if entry.template is None:
+            entry.template = MixtureTemplate(prob, entry.states, entry.layout.actions)
+        return prob, StateMixtures(entry.template, x_b[entry.struct])
 
 
 def run_fkors(

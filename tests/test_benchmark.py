@@ -27,7 +27,6 @@ from spacing_auctions.benchmark import (
     _objective_coeffs,
     _ratio_test,
     _reduced_costs,
-    _rhs,
     basis_layout,
     verify_basis_values,
     CycleStats,
@@ -121,6 +120,37 @@ def test_lp_requires_endpoint_actions():
     m = atoms_market((0.5, 1.0, 1.0))
     with pytest.raises(ValueError):
         build_occupancy_lp(m, sqrt_reward(), m=2, rho=0.5, actions=np.array([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("bid1_at_m", [False, True])
+@pytest.mark.parametrize("m", [1, 2, 3, 8])
+def test_column_encoding_round_trips(m, bid1_at_m):
+    prob = mixture_problem(m, bid1_at_m, 3)
+    ids = np.arange(prob.n_cols)
+    states, actions = prob.decode(ids)
+    assert prob.encode(states, actions).tolist() == ids.tolist()
+    assert [prob.decode_one(int(col)) for col in ids] == list(zip(states.tolist(), actions.tolist()))
+    # every (state, action) pair has one column, except that forced bid-1
+    # leaves state m the bid-1 column only
+    pairs = {(l, i) for l in range(1, m + 1) for i in range(prob.n_actions)}
+    if bid1_at_m:
+        pairs = {(l, i) for l, i in pairs if l < m or i == prob.bid1_idx}
+        with pytest.raises(ValueError):
+            prob.encode([m], [prob.skip_idx])
+    assert set(zip(states.tolist(), actions.tolist())) == pairs
+    assert ids.shape[0] == len(pairs)
+
+
+def test_chain_basis_ids():
+    market = atoms_market((0.2, 0.4, 0.3), (0.5, 0.6, 0.3), (0.8, 0.5, 0.4))
+    actions = candidate_multipliers(market)  # 0, 0.625, 1.2, 2, skip
+    curves = (actions, *win_pay_curve(market, actions))
+    on = occupancy_problem(curves, sqrt_reward(), 4, 0.3, bid1_at_m=True)
+    off = occupancy_problem(curves, sqrt_reward(), 4, 0.3, bid1_at_m=False)
+    assert _chain_basis(on, 2) == [2, 7, 12, 15, 16]
+    assert _chain_basis(on, on.skip_idx) == [4, 9, 14, 15, 16]
+    assert _chain_basis(off, 2) == [2, 7, 12, 15, 20]
+    assert _chain_basis(off, off.skip_idx) == [4, 9, 14, 15, 20]
 
 
 def test_budget_row_slack_for_cheap_market():
@@ -476,7 +506,7 @@ def lu_factor_route(prob, ids, cb, primal_tol=1e-9, dual_tol=1e-9):
         lu, piv = sla.lu_factor(_basis_matrix(prob, ids), check_finite=False)
     if np.any(np.abs(np.diagonal(lu)) < 1e-13):
         return None
-    x_b = sla.lu_solve((lu, piv), _rhs(prob), check_finite=False)
+    x_b = sla.lu_solve((lu, piv), prob.b, check_finite=False)
     y = sla.lu_solve((lu, piv), cb, trans=1, check_finite=False)
     if not np.all(np.isfinite(x_b)) or x_b.min() < -primal_tol:
         return None
@@ -500,7 +530,7 @@ def test_verify_basis_values_matches_lu_factor_route():
                 cb = _objective_coeffs(problem, basis)
                 for tol in (1e-9, 1e-5):
                     want = lu_factor_route(problem, basis, cb, 1e-7, tol)
-                    got = verify_basis_values(problem, basis_layout(problem, basis), cb, 1e-7, tol)
+                    got = verify_basis_values(problem, basis_layout(problem, basis), 1e-7, tol)
                     assert (want is None) == (got is None)
                     if got is not None:
                         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
@@ -511,7 +541,7 @@ def test_verify_basis_values_matches_lu_factor_route():
                         verdicts["rejected"] += 1
         duplicate = [sol.basis[0]] + list(sol.basis[:-1])
         layout = basis_layout(prob, duplicate)
-        assert verify_basis_values(prob, layout, _objective_coeffs(prob, duplicate)) is None
+        assert verify_basis_values(prob, layout) is None
     assert min(verdicts.values()) >= 40, verdicts
 
 

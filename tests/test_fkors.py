@@ -6,15 +6,31 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import spacing_auctions
-from spacing_auctions.fkors import FkorsConfig, default_params, regret, run_fkors
+from spacing_auctions import fkors
+from spacing_auctions.benchmark import (
+    _chain_basis,
+    _crash_bases,
+    occupancy_problem,
+    solve_occupancy_problem,
+)
+from spacing_auctions.fkors import (
+    FkorsConfig,
+    _CachedBasis,
+    default_params,
+    regret,
+    run_fkors,
+)
 from spacing_auctions.market import (
     MarketDistribution,
+    candidate_multipliers,
     discretize_uniform,
     market_from_config,
     mean_conversion,
+    win_pay_curve,
 )
 from spacing_auctions.records import trace_lines
 from spacing_auctions.rewards import cap_linear_reward, eval_r, sqrt_reward
@@ -231,6 +247,83 @@ def test_quantization_bounds_support():
     )
     rec = run_fkors(market, sqrt_reward(), cfg)
     assert rec.wins > 0  # still learns something
+
+
+# ---------------------------------------------------------------------------
+# the planner's cache of bases across candidate-set changes
+
+
+def program(atoms, m=6, rho=0.3):
+    market = MarketDistribution.from_tuples([(p, c, 1.0 / len(atoms)) for p, c in atoms])
+    actions = candidate_multipliers(market)
+    return occupancy_problem((actions, *win_pay_curve(market, actions)), sqrt_reward(), m, rho, True)
+
+
+def column_pairs(prob, ids):
+    """(state, multiplier) of each id, None for the slack."""
+    pairs = []
+    for col in ids.tolist():
+        if col == prob.slack_id:
+            pairs.append(None)
+        else:
+            state, action = prob.decode_one(col)
+            pairs.append((state, float(prob.mus[action])))
+    return pairs
+
+
+def test_cached_basis_remaps_onto_a_grown_candidate_set():
+    rng = SplitMix64(17)
+    moved = dropped = 0
+    for _ in range(20):
+        atoms = [(0.05 + 0.9 * rng.uniform(), 0.2 + 0.8 * rng.uniform()) for _ in range(9)]
+        small, grown = program(atoms[:5]), program(atoms)
+        assert set(small.mus.tolist()) < set(grown.mus.tolist())
+        for basis in [solve_occupancy_problem(small).basis] + _crash_bases(small):
+            entry = _CachedBasis(small, basis, version=1)
+            want = column_pairs(small, entry.layout.ids)
+            entry.remap(grown, version=2)
+            assert entry.version == 2
+            assert column_pairs(grown, entry.layout.ids) == want
+            moved += entry.layout.ids.tolist() != list(basis)
+        # a basis playing a multiplier the small set lacks has no ids there
+        for action, mu in enumerate(grown.mus.tolist()):
+            if mu in small.mus.tolist():
+                continue
+            entry = _CachedBasis(grown, _chain_basis(grown, action), version=2)
+            entry.remap(small, version=3)
+            assert entry.layout is None
+            dropped += 1
+    assert moved >= 20 and dropped >= 20
+
+
+def test_requantization_skips_cached_bases_whose_multiplier_left(monkeypatch):
+    # the Q=10 config of test_quantization_bounds_support, with a threshold
+    # that its warm-up (k=11 rounds) stays under: the 28th sample snaps the
+    # pairs to the 1/10 lattice, removing multipliers that cached bases play
+    events = []
+    remap, verify = _CachedBasis.remap, fkors.verify_basis_values
+
+    def recording_remap(entry, prob, version):
+        remap(entry, prob, version)
+        if entry.layout is None:
+            assert not np.isin(entry.mus, prob.mus).all()
+            events.append("drop")
+
+    def recording_verify(prob, layout, *args, **kwargs):
+        x_b = verify(prob, layout, *args, **kwargs)
+        events.append("miss" if x_b is None else "hit")
+        return x_b
+
+    monkeypatch.setattr(_CachedBasis, "remap", recording_remap)
+    monkeypatch.setattr(fkors, "verify_basis_values", recording_verify)
+    cfg = FkorsConfig(
+        rho=0.3, T=300, m=8, k=11, seed=6, quantization_grid=10, quantize_threshold=20
+    )
+    rec = run_fkors(discretize_uniform(50), sqrt_reward(), cfg)
+    # the cache serves plans again once the dropped bases are passed over
+    _, dropped, after = " ".join(events).partition("drop")
+    assert dropped and "hit" in after
+    assert rec.wins > 0
 
 
 def test_wide_market_degenerate_ties_keep_basis_nonsingular():
