@@ -39,12 +39,15 @@ Two solution paths exist on purpose:
   ``verify_basis`` re-checks a stored basis against fresh coefficients,
   letting the learner keep its policy when it is still optimal; only when
   no stored basis certifies does the learner solve again, warm-started from
-  those bases.  A check refills the basis matrix from its ``basis_layout``
-  (Fortran-order flat positions with values affine in W or P), builds the
-  basis costs from the columns the layout decoded, and solves the primal
-  and dual systems with one LAPACK LU factorization.  ``OccupancyProblem``
-  is the one home of the column encoding (``encode``, ``decode``) and of a
-  column's objective coefficient r(l) W_i.
+  those bases.  A check refills the basis from its ``basis_layout``
+  (Fortran-order flat positions with values affine in W or P) and builds
+  the basis costs from the columns the layout decoded.  A basis holding a
+  column of every state 2..m-1 (nearly every basis the learner checks) is
+  solved by elimination along the chain (``ChainSplit``): unit pivots on
+  the flow rows, banded triangular solves and an LU of a 3x3 Schur
+  complement; any other basis by one LAPACK LU of the refilled matrix.
+  ``OccupancyProblem`` is the one home of the column encoding (``encode``,
+  ``decode``) and of a column's objective coefficient r(l) W_i.
 
 One rule turns occupancy mass into per-state mixtures.  Its
 mass-independent part, each state's columns in ascending multiplier order,
@@ -59,11 +62,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dgetrf as _getrf, dgetrs as _getrs
+from scipy.linalg.lapack import dgetrf as _getrf, dgetrs as _getrs, dtbtrs as _tbtrs
 
 from .market import (
     MarketDistribution,
@@ -195,6 +199,18 @@ class OccupancyProblem:
         """Objective coefficients r(l) W_i of columns (l, i): arrays or scalars."""
         return self.r[states - 1] * self.w[actions]
 
+    def with_curves(self, w: np.ndarray, p: np.ndarray) -> "OccupancyProblem":
+        """The same program on new win and pay curves over the same
+        multipliers; everything derived from m, rho, r and the multipliers
+        is shared, not rebuilt."""
+        w = np.asarray(w, dtype=float)
+        p = np.asarray(p, dtype=float)
+        if w.shape != self.mus.shape or p.shape != self.mus.shape:
+            raise ValueError("curves must hold one entry per multiplier")
+        twin = object.__new__(OccupancyProblem)
+        twin.__dict__.update(self.__dict__, w=w, p=p)
+        return twin
+
 
 def reward_vector(reward: RewardFn, m: int) -> np.ndarray:
     """The capped rewards r_m(1..m)."""
@@ -239,16 +255,18 @@ def occupancy_problem(
 
 @dataclass(frozen=True)
 class BasisLayout:
-    """Nonzero entries of a basis matrix.  Entry j sits at the Fortran-order
-    flat position flat[j] (row + column * n_rows) and equals
-    const[j] + coef[j] * v[src[j]], where v is W followed by P: every entry
-    is affine in one coefficient, W_i or P_i, or constant (coef 0).
+    """Nonzero entries of a basis matrix with n_rows rows.  Entry j sits at
+    the Fortran-order flat position flat[j] (row + column * n_rows) and
+    equals const[j] + coef[j] * v[src[j]], where v is W followed by P: every
+    entry is affine in one coefficient, W_i or P_i, or constant (coef 0).
 
     The positions depend only on the basis ids, so one layout refills the
     matrix for any coefficients W, P on the same action set.  It keeps the
     decoded structural columns too: `struct` masks them among the ids, and
-    column k of them is (states[k], actions[k])."""
+    column k of them is (states[k], actions[k]).  A verified layout also
+    carries its ``ChainSplit`` (``chain``), derived on first use."""
 
+    n_rows: int
     ids: np.ndarray
     flat: np.ndarray
     src: np.ndarray
@@ -258,14 +276,22 @@ class BasisLayout:
     states: np.ndarray
     actions: np.ndarray
 
+    def values(self, prob: OccupancyProblem) -> np.ndarray:
+        """The entries for `prob`'s coefficients, in layout order."""
+        return self.const + self.coef * np.concatenate((prob.w, prob.p))[self.src]
+
     def fill(self, prob: OccupancyProblem, out: np.ndarray) -> np.ndarray:
         """Write the entries into the zeroed Fortran-ordered matrix `out`
         (the layout LAPACK factors in place) and return it."""
         if not out.flags.f_contiguous:
             raise ValueError("basis layouts fill Fortran-ordered matrices")
-        v = np.concatenate((prob.w, prob.p))
-        out.reshape(-1, order="F")[self.flat] = self.const + self.coef * v[self.src]
+        out.reshape(-1, order="F")[self.flat] = self.values(prob)
         return out
+
+    @cached_property
+    def chain(self) -> Optional["ChainSplit"]:
+        """The layout's ``ChainSplit``; None when it is not chain-covered."""
+        return ChainSplit.of(self)
 
 
 def basis_layout(prob: OccupancyProblem, basis: Sequence[int], art_base: int = -1) -> BasisLayout:
@@ -306,7 +332,7 @@ def basis_layout(prob: OccupancyProblem, basis: Sequence[int], art_base: int = -
     n_id = identity.shape[0]
     blocks.append((id_rows, identity, np.zeros(n_id, dtype=int), np.ones(n_id), np.zeros(n_id)))
     rows, cols, src, const, coef = (np.concatenate(part) for part in zip(*blocks))
-    return BasisLayout(ids, rows + cols * R, src, const, coef, struct, states, actions)
+    return BasisLayout(R, ids, rows + cols * R, src, const, coef, struct, states, actions)
 
 
 def _basis_matrix(prob: OccupancyProblem, basis: Sequence[int], art_base: int = -1) -> np.ndarray:
@@ -450,18 +476,121 @@ def _primal_values(
     return values
 
 
-def verify_basis_values(
-    prob: OccupancyProblem,
-    layout: BasisLayout,
-    primal_tol: float = 1e-9,
-    dual_tol: float = 1e-9,
-    d_buf: Optional[np.ndarray] = None,
-) -> Optional[np.ndarray]:
-    """x_B of the basis `layout.ids` if it is primal feasible and within
-    dual_tol of optimal for `prob`; None otherwise.  The basis costs come
-    from the layout's decoded columns and `prob`'s rewards and W.  One LU
-    factorization of the refilled basis matrix serves both the primal and
-    the dual solve."""
+_SPLIT_POSITIONS: dict[int, np.ndarray] = {}
+
+
+def _split_positions(R: int) -> np.ndarray:
+    """Where the entry in row r and column c of the pivot-then-border order
+    lands in a ``ChainSplit`` buffer, at index r + c * R; its chain rows are
+    rows 1..R-3 and its border rows 0, R-2 and R-1."""
+    table = _SPLIT_POSITIONS.get(R)
+    if table is None:
+        n = R - 3
+        cols, rows = np.divmod(np.arange(R * R), R)
+        a = rows - 1  # row of A
+        d = np.where(rows == 0, 0, rows - (R - 3))  # border row: state-1, mass, budget
+        pivot = cols < n
+        table = _SPLIT_POSITIONS[R] = np.where(
+            (rows >= 1) & (rows <= R - 3),
+            np.where(pivot, a + cols, 2 * n + a + n * (cols - n)),
+            np.where(pivot, 5 * n + d + 3 * cols, 8 * n + d + 3 * (cols - n)),
+        )
+    return table
+
+
+@dataclass(frozen=True)
+class ChainSplit:
+    """Block elimination of a chain-covered basis along the chain.
+
+    A basis is chain-covered when it holds a column of every state 2..m-1
+    (m >= 3).  The first such column of state l, in basis order, pivots on
+    state l's own flow row, where it holds exactly 1.  The other three
+    columns (state-1 and state-m columns, a second column of a state, the
+    slack) form the border.  With the n = m - 2 flow rows and the pivot
+    columns first, the basis matrix is
+
+        B = [[A,  G ],
+             [Dp, Dz]]
+
+    where A is unit lower bidiagonal, its subdiagonal -(1 - W) of the
+    previous pivot, and the border rows are the state-1 inflow, mass and
+    budget rows.  B x = b and B^T y = c then take two banded triangular
+    solves with A (LAPACK tbtrs) and an LU of the 3x3 Schur complement
+    S = Dz - Dp A^-1 G.  This is an LU of B in the pivot order the chain
+    fixes: U's diagonal is 1 on the pivots and S's U diagonal on the border,
+    so the |U diagonal| >= 1e-13 rule keeps its meaning.  Growth is bounded:
+    the entries of A^-1 are products of (1 - W) in [0, 1], and a column of G
+    holds at most two entries of magnitude at most 1, so |A^-1 G| <= 2.
+
+    `flat` maps the layout's entries into one buffer that holds, each in
+    Fortran order, A in band storage (2 x n: diagonal, then subdiagonal), G
+    (n x 3), Dp (3 x n) and Dz (3 x 3).  Basis position j is column
+    new_col[j] of the pivot-then-border order.
+    """
+
+    n: int
+    flat: np.ndarray
+    new_col: np.ndarray
+
+    @staticmethod
+    def of(layout: BasisLayout) -> Optional["ChainSplit"]:
+        """The split of a square `layout`; None unless it is chain-covered."""
+        R = layout.n_rows
+        n = R - 3  # own rows 1..m-2 of states 2..m-1, as m = R - 1
+        if n < 1 or layout.ids.shape[0] != R:
+            return None
+        states, first = np.unique(layout.states, return_index=True)
+        lo, hi = np.searchsorted(states, (2, R - 1))
+        if hi - lo != n:
+            return None
+        pivots = np.flatnonzero(layout.struct)[first[lo:hi]]
+        border = np.ones(R, dtype=bool)
+        border[pivots] = False
+        new_col = np.empty(R, dtype=int)
+        new_col[pivots] = np.arange(n)
+        new_col[border] = np.arange(n, R)
+        cols, rows = np.divmod(layout.flat, R)
+        flat = _split_positions(R)[rows + new_col[cols] * R]
+        return ChainSplit(n, flat, new_col)
+
+    def solve(
+        self, prob: OccupancyProblem, layout: BasisLayout, primal_tol: float
+    ) -> Optional[tuple[np.ndarray, np.ndarray]]:
+        """``_basis_solves`` by block elimination."""
+        n = self.n
+        buf = np.zeros(8 * n + 9)
+        buf[self.flat] = layout.values(prob)
+        ab = buf[: 2 * n].reshape(2, n, order="F")
+        dp = buf[5 * n : 8 * n].reshape(3, n, order="F")
+        g_solved, _ = _tbtrs(ab, buf[2 * n : 5 * n].reshape(n, 3, order="F"), uplo="L", diag="U")
+        lu, piv, _ = _getrf(
+            buf[8 * n :].reshape(3, 3, order="F") - dp @ g_solved, overwrite_a=True
+        )
+        if abs(lu.diagonal()).min() < 1e-13:
+            return None
+        x_z, _ = _getrs(lu, piv, prob.b[[0, -2, -1]])
+        x_b = np.concatenate((-(g_solved @ x_z), x_z))[self.new_col]
+        if not np.isfinite(x_b).all() or x_b.min() < -primal_tol:
+            return None
+        c = np.zeros(n + 3)
+        c[self.new_col[layout.struct]] = prob.objective(layout.states, layout.actions)
+        y_d, _ = _getrs(lu, piv, c[n:] - g_solved.T @ c[:n], trans=1)
+        y_c, _ = _tbtrs(ab, c[:n] - dp.T @ y_d, uplo="L", trans="T", diag="U")
+        return x_b, np.concatenate((y_d[:1], y_c.ravel(), y_d[1:]))
+
+
+def _basis_solves(
+    prob: OccupancyProblem, layout: BasisLayout, primal_tol: float
+) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """(x_B, y) of the square basis `layout`: B x_B = b and B^T y = c_B, the
+    basis costs built from the layout's decoded columns and `prob`'s rewards
+    and W.  None when B is singular (some |U diagonal| < 1e-13), x_B is not
+    finite or an entry of x_B lies below -primal_tol.  A chain-covered basis
+    is solved through its ``ChainSplit``; any other by ``_primal_values`` on
+    the refilled matrix, whose LU also serves the dual solve."""
+    split = layout.chain
+    if split is not None:
+        return split.solve(prob, layout, primal_tol)
     R = prob.n_rows
     primal = _primal_values(prob, layout.fill(prob, np.zeros((R, R), order="F")), primal_tol)
     if primal is None:
@@ -470,6 +599,25 @@ def verify_basis_values(
     cb = np.zeros(R)
     cb[layout.struct] = prob.objective(layout.states, layout.actions)
     y, _ = _getrs(lu, piv, cb, trans=1)
+    return x_b, y
+
+
+def verify_basis_values(
+    prob: OccupancyProblem,
+    layout: BasisLayout,
+    primal_tol: float = 1e-9,
+    dual_tol: float = 1e-9,
+    d_buf: Optional[np.ndarray] = None,
+) -> Optional[np.ndarray]:
+    """x_B of the basis `layout.ids` if it is primal feasible and within
+    dual_tol of optimal for `prob`; None otherwise.  The primal and dual
+    systems are solved by ``_basis_solves``: by elimination along the chain
+    when the basis holds a column of every state 2..m-1, by one LU of the
+    refilled basis matrix otherwise."""
+    values = _basis_solves(prob, layout, primal_tol)
+    if values is None:
+        return None
+    x_b, y = values
     d = _reduced_costs(prob, y, phase1=False, out=d_buf)
     d[layout.ids] = -np.inf
     if d.max() > dual_tol:

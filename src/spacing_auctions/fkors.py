@@ -244,8 +244,9 @@ class _EpochPlanner:
     absorbs most re-solves; every plan served is certified optimal for the
     current epoch's program within the configured tolerance.  A cached
     basis (``_CachedBasis``) is re-encoded into column ids, and its layout
-    rebuilt, only when the candidate set changes; verification builds the
-    basis costs itself.  A miss re-solves warm, from the cached bases whose
+    rebuilt, only when the candidate set changes; so is the epoch's program,
+    into which each epoch swaps its W and P.  Verification builds the basis
+    costs itself.  A miss re-solves warm, from the cached bases whose
     multipliers are all still candidates: a primal-feasible one, or the most
     recent one through the dual-simplex phase.
     """
@@ -260,7 +261,11 @@ class _EpochPlanner:
         self.warm_starts = 0  # solves that began from a cached basis, by either route
         self.reuses = 0
         self._r_vec = reward_vector(reward, cfg.m)
-        self._d_buf: Optional[np.ndarray] = None
+        # the program of the candidate set `_version`, into which epochs swap
+        # W and P, and a reduced-cost buffer of its width
+        self._prob: Optional[OccupancyProblem] = None
+        self._version = -1
+        self._d_buf = np.empty(0)
 
     def plan(
         self, curves: tuple[np.ndarray, np.ndarray, np.ndarray], version: int
@@ -268,12 +273,14 @@ class _EpochPlanner:
         """Plan for the coming epoch: its program and the per-state
         mixtures of the plan's basis, bound to its basic values."""
         cands, w, p = curves
-        prob = occupancy_problem(
-            (cands, w, p), self.reward, self.cfg.m, self.cfg.rho, bid1_at_m=True,
-            r_vec=self._r_vec,
-        )
-        if self._d_buf is None or self._d_buf.shape[0] != prob.n_cols + 1:
-            self._d_buf = np.empty(prob.n_cols + 1)
+        if version != self._version:
+            self._prob = occupancy_problem(
+                (cands, w, p), self.reward, self.cfg.m, self.cfg.rho, bid1_at_m=True,
+                r_vec=self._r_vec,
+            )
+            self._version = version
+            self._d_buf = np.empty(self._prob.n_cols + 1)
+        prob = self._prob.with_curves(w, p)
         x_b = None
         if self.cfg.reuse_tolerance > 0.0:
             for idx, entry in enumerate(self.cache):

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spacing_auctions
+from spacing_auctions import benchmark, fkors
 from spacing_auctions.benchmark import (
     InfeasibleOccupancyError,
     BenchResult,
@@ -53,9 +54,11 @@ from spacing_auctions.market import (
     SKIP,
     MarketDistribution,
     discretize_uniform,
+    market_from_config,
     mean_conversion,
     win_pay_curve,
 )
+from spacing_auctions.fkors import FkorsConfig, default_params, run_fkors
 from spacing_auctions.harness import random_market as harness_random_market
 from spacing_auctions.rewards import cap_linear_reward, sqrt_reward, table_reward
 from spacing_auctions.rng import SplitMix64
@@ -139,6 +142,22 @@ def test_column_encoding_round_trips(m, bid1_at_m):
             prob.encode([m], [prob.skip_idx])
     assert set(zip(states.tolist(), actions.tolist())) == pairs
     assert ids.shape[0] == len(pairs)
+
+
+def test_with_curves_equals_a_fresh_build():
+    market = atoms_market((0.2, 0.4, 0.3), (0.5, 0.6, 0.3), (0.8, 0.5, 0.4))
+    actions = candidate_multipliers(market)
+    w, p = win_pay_curve(market, actions)
+    prob = occupancy_problem((actions, w, p), sqrt_reward(), 5, 0.3, True)
+    w2, p2 = w * 0.9, p * 1.1
+    fresh = occupancy_problem((actions, w2, p2), sqrt_reward(), 5, 0.3, True)
+    twin = prob.with_curves(w2, p2)
+    assert twin.__dict__.keys() == fresh.__dict__.keys()
+    for name, value in fresh.__dict__.items():
+        assert np.asarray(getattr(twin, name)).tobytes() == np.asarray(value).tobytes(), name
+    assert prob.w is w and prob.p is p
+    with pytest.raises(ValueError):
+        prob.with_curves(w2[:-1], p2)
 
 
 def test_chain_basis_ids():
@@ -543,6 +562,142 @@ def test_verify_basis_values_matches_lu_factor_route():
         layout = basis_layout(prob, duplicate)
         assert verify_basis_values(prob, layout) is None
     assert min(verdicts.values()) >= 40, verdicts
+
+
+def getrf_route(prob, layout):
+    """(x_B, y) of the refilled basis matrix through getrf and getrs; None
+    when it is singular or x_B is not finite."""
+    values = _basic_values(prob, layout.fill(prob, np.zeros((prob.n_rows,) * 2, order="F")))
+    if values is None:
+        return None
+    x_b, lu, piv = values
+    cb = np.zeros(prob.n_rows)
+    cb[layout.struct] = prob.objective(layout.states, layout.actions)
+    return x_b, sla.lapack.dgetrs(lu, piv, cb, trans=1)[0]
+
+
+def assert_chain_parity(prob, layout):
+    """The chain split of `layout` solves as getrf does: the same verdict,
+    and x_B and y within 1e-12 (relative once an entry exceeds 1).  Returns
+    whether the basis was accepted as nonsingular."""
+    assert layout.chain is not None
+    got = layout.chain.solve(prob, layout, np.inf)
+    want = getrf_route(prob, layout)
+    assert (got is None) == (want is None)
+    if got is None:
+        return False
+    for g, w in zip(got, want):
+        np.testing.assert_allclose(g, w, rtol=0.0, atol=1e-12 * max(1.0, np.abs(w).max()))
+    return True
+
+
+def test_chain_split_matches_getrf_on_optimal_bases():
+    rng = SplitMix64(97)
+    seen = {"bid1_at_m": 0, "free_m": 0, "slack": 0, "two_columns": 0}
+    for _ in range(60):
+        prob, _, reward = random_problem(rng)
+        for bid1 in (True, False):
+            problem = occupancy_problem(
+                (prob.mus, prob.w, prob.p), reward, prob.m, prob.rho, bid1)
+            try:
+                sol = solve_occupancy_problem(problem)
+            except InfeasibleOccupancyError:
+                continue
+            drifted = problem.with_curves(
+                np.clip(problem.w * (1 + 0.05 * (rng.uniform() - 0.5)), 0.0, 1.0), problem.p)
+            layout = basis_layout(problem, sol.basis)
+            if layout.chain is None:
+                continue
+            assert assert_chain_parity(problem, layout)
+            assert_chain_parity(drifted, layout)
+            seen["bid1_at_m" if bid1 else "free_m"] += 1
+            seen["slack"] += problem.slack_id in sol.basis
+            chain_states = layout.states[(layout.states >= 2) & (layout.states < problem.m)]
+            seen["two_columns"] += len(set(chain_states.tolist())) < len(chain_states)
+    assert min(seen.values()) >= 10, seen
+
+
+def test_chain_split_matches_getrf_on_captured_grid_bases(monkeypatch):
+    # the bases FKORS checks at m = 90 on the README's uniform_grid config
+    market = market_from_config({"type": "uniform_grid", "K": 50})
+    m, k = default_params(8000, 0.2, mean_conversion(market))
+    verify = fkors.verify_basis_values
+    captured = []
+
+    def capture(prob, layout, *args, **kwargs):
+        captured.append((prob, layout))
+        return verify(prob, layout, *args, **kwargs)
+
+    monkeypatch.setattr(fkors, "verify_basis_values", capture)
+    run_fkors(market, sqrt_reward(), FkorsConfig(rho=0.2, T=2000, m=m, k=k, seed=3))
+    assert m == 90 and len(captured) > 500
+    checked = [(prob, layout) for prob, layout in captured[::5] if layout.chain is not None]
+    assert len(checked) > 0.9 * len(captured[::5])
+    assert sum(assert_chain_parity(prob, layout) for prob, layout in checked) == len(checked)
+
+
+def chain_problem(bid1_at_m=True):
+    """A program with five multipliers on a three-atom market and m = 6,
+    and the map from (state, action) to its column id."""
+    market = atoms_market((0.2, 0.4, 0.3), (0.5, 0.6, 0.3), (0.8, 0.5, 0.4))
+    actions = candidate_multipliers(market)
+    prob = occupancy_problem(
+        (actions, *win_pay_curve(market, actions)), sqrt_reward(), 6, 0.3, bid1_at_m)
+    return prob, lambda state, action: int(prob.encode(np.array([state]), np.array([action]))[0])
+
+
+@pytest.mark.parametrize("bid1_at_m", [True, False])
+def test_chain_split_adversarial_bases(bid1_at_m):
+    prob, col = chain_problem(bid1_at_m)
+    accepted = 0
+    # every constant chain holds the slack; W = 1 zeroes the subdiagonal
+    # (skip, W = 0, makes it -1)
+    for action in range(prob.n_actions):
+        for w in (prob.w, np.where(np.arange(prob.n_actions) == action, 1.0, prob.w)):
+            problem = prob.with_curves(w, prob.p)
+            basis = _chain_basis(problem, action)
+            accepted += assert_chain_parity(problem, basis_layout(problem, basis))
+            # state 3 holds two columns, the second one on the border
+            basis[-1] = col(3, (action + 1) % prob.n_actions)
+            accepted += assert_chain_parity(problem, basis_layout(problem, basis))
+    assert accepted >= 2 * prob.n_actions
+    # a duplicate column, pivot or border, is exactly singular
+    basis = _chain_basis(prob, 1)
+    for dup in (col(3, 1), col(1, 1)):
+        layout = basis_layout(prob, basis[:-1] + [dup])
+        assert not assert_chain_parity(prob, layout)
+        assert verify_basis_values(prob, layout, dual_tol=np.inf) is None
+    # two state-1 columns whose multipliers have W and P a gap apart: the
+    # Schur complement is singular at gap 0, near-singular at 1e-14 and
+    # regular at 1e-3
+    for gap, regular in ((0.0, False), (1e-14, False), (1e-3, True)):
+        w, p = prob.w.copy(), prob.p.copy()
+        w[2], p[2] = w[1] + gap, p[1] + gap
+        problem = prob.with_curves(w, p)
+        layout = basis_layout(problem, _chain_basis(problem, 1)[:-1] + [col(1, 2)])
+        assert assert_chain_parity(problem, layout) == regular
+
+
+def test_layouts_missing_a_chain_state_take_the_getrf_route(monkeypatch):
+    prob, col = chain_problem()
+    covered = _chain_basis(prob, 1)
+    uncovered = list(covered)
+    uncovered[2] = col(1, 2)  # state 3 loses its only column
+    assert basis_layout(prob, covered).chain is not None
+    assert basis_layout(prob, uncovered).chain is None
+    for m in (1, 2):  # no chain rows
+        small = occupancy_problem((prob.mus, prob.w, prob.p), sqrt_reward(), m, 0.3, False)
+        assert basis_layout(small, _chain_basis(small, 1)[-small.n_rows:]).chain is None
+    calls = []
+    primal_values = benchmark._primal_values
+    monkeypatch.setattr(
+        benchmark, "_primal_values", lambda *args: calls.append(1) or primal_values(*args))
+    for basis, lu_calls in ((covered, []), (uncovered, [1])):
+        got = verify_basis_values(prob, basis_layout(prob, basis), np.inf, np.inf)
+        want = lu_factor_route(prob, basis, _objective_coeffs(prob, basis), np.inf, np.inf)
+        assert calls == lu_calls
+        assert got is not None and want is not None
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
 
 def test_import_leaves_linalg_warnings_alone():

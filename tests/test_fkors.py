@@ -214,6 +214,35 @@ def test_diagnostics_do_not_change_the_run():
     assert plain.config["reused_plans"] > plain.config["cold_solves"] > 0
 
 
+def test_planner_builds_one_program_per_candidate_set(monkeypatch):
+    # epochs on an unchanged candidate set swap W and P into the program
+    # built for it; the run matches one that builds a program every epoch
+    market = market_from_config({"type": "uniform_grid", "K": 50})
+    cfg = FkorsConfig.from_defaults(0.2, 1000, mean_conversion(market), seed=5)
+    built, versions = [], []
+    build, plan = fkors.occupancy_problem, fkors._EpochPlanner.plan
+    rebuild = False
+
+    def recording_plan(self, curves, version):
+        versions.append(version)
+        if rebuild:
+            self._version = -1  # forget the program, so the epoch builds one
+        return plan(self, curves, version)
+
+    monkeypatch.setattr(fkors, "occupancy_problem", lambda *a, **kw: built.append(1) or build(*a, **kw))
+    monkeypatch.setattr(fkors._EpochPlanner, "plan", recording_plan)
+    rec = run_fkors(market, sqrt_reward(), cfg)
+    assert len(built) == len(set(versions)) < len(versions) / 10
+    built.clear()
+    versions.clear()
+    rebuild = True
+    again = run_fkors(market, sqrt_reward(), cfg)
+    assert len(built) == len(versions)
+    assert repr(again.utility_true) == repr(rec.utility_true)
+    for key in ("cold_solves", "warm_starts", "reused_plans"):
+        assert again.config[key] == rec.config[key]
+
+
 def test_regret_definition():
     market = discretize_uniform(4)
     cfg = FkorsConfig(rho=0.4, T=50, m=5, k=6, seed=8)
@@ -374,6 +403,15 @@ def wide_runs(seeds=(1, 49), T=300):
     ]
 
 
+def grid_runs(seeds=(1,), T=2000):
+    """FKORS on the README's uniform_grid K=50 config, the planner's hit path."""
+    market = market_from_config({"type": "uniform_grid", "K": 50})
+    return [
+        run_fkors(market, sqrt_reward(), FkorsConfig.from_defaults(0.2, T, mean_conversion(market), seed=s))
+        for s in seeds
+    ]
+
+
 def test_wide_market_misses_restart_from_cached_bases():
     # nearly every epoch on this market misses the cache; apart from each
     # run's first solve, the re-solves begin from a cached basis, primal
@@ -395,12 +433,13 @@ def test_wide_market_cleanup_after_dual_restart_passes_over_tiny_pivots():
 
 def test_wide_market_runs_do_not_depend_on_blas_threads():
     # at T=1000 (m=107) a basis inverse from numpy's LAPACK changed with the
-    # thread count, and seed 1 made 145 or 146 solves
+    # thread count, and seed 1 made 145 or 146 solves; the grid run's cache
+    # checks take the chain elimination (banded solves and a 3x3 LU)
     src = str(Path(spacing_auctions.__file__).resolve().parents[1])
     code = (
-        "import sys; sys.path[:0] = sys.argv[1:]; from test_fkors import wide_runs; "
-        "print([(repr(r.utility_true), r.config['cold_solves']) "
-        "for r in wide_runs() + wide_runs((1,), 1000)])"
+        "import sys; sys.path[:0] = sys.argv[1:]; from test_fkors import grid_runs, wide_runs; "
+        "print([(repr(r.utility_true), r.config['cold_solves'], r.config['reused_plans']) "
+        "for r in wide_runs() + wide_runs((1,), 1000) + grid_runs()])"
     )
     outputs = [
         subprocess.run(
