@@ -34,8 +34,14 @@ Two solution paths exist on purpose:
   primal-feasible basis among the caller's ``starts`` (the learner passes
   its recently optimal bases, most recent first).  When none is feasible, a
   dual-simplex phase pivots the first start, if nonsingular, back to
-  primal feasibility; failing that, the solve starts from the crash
-  vertices, and runs phase 1 only when none of them is feasible.
+  primal feasibility.  It prices only each basic column's nearest
+  multipliers with another (W, P) in the same state, plus the slack: a
+  dual step nearly always moves one state's threshold by one candidate, so
+  a pivot takes a few products with an R x (2R + 1) matrix instead of
+  passes over every column.  Failing that, the solve starts from the crash
+  vertices, and runs phase 1 only when none of them is feasible.  The
+  primal loop prices every column, so each solution is certified optimal
+  on the full program.
   ``verify_basis`` re-checks a stored basis against fresh coefficients,
   letting the learner keep its policy when it is still optimal; only when
   no stored basis certifies does the learner solve again, warm-started from
@@ -67,6 +73,7 @@ from itertools import accumulate
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.linalg.blas import dger as _ger
 from scipy.linalg.lapack import dgetrf as _getrf, dgetrs as _getrs, dtbtrs as _tbtrs
 
 from .market import (
@@ -791,7 +798,7 @@ def _simplex_loop(
     else:
         raise RuntimeError("occupancy simplex pivot limit exceeded")
     # refresh the solution from a clean factorization before returning
-    x_b = _solve(_basis_matrix(prob, basis, art_base), b)
+    x_b = _solve(B, b)
     return np.maximum(x_b, 0.0)
 
 
@@ -812,10 +819,31 @@ def _inverse(B: np.ndarray) -> np.ndarray:
 
 def _update_inverse(b_inv: np.ndarray, direction: np.ndarray, leave: int) -> None:
     """Product-form update of B^-1 in place: the column whose B^-1 image is
-    `direction` replaces basis position `leave`."""
+    `direction` replaces basis position `leave`.  The rank-one step is BLAS
+    ger on the Fortran-ordered transpose; ger has no reduction, so its bits
+    do not depend on the BLAS thread count."""
+    piv = direction[leave]
     row = b_inv[leave].copy()
-    b_inv -= np.outer(direction / direction[leave], row)
-    b_inv[leave] = row / direction[leave]
+    _ger(-1.0, row, direction / piv, a=b_inv.T, overwrite_a=True)
+    b_inv[leave] = row / piv
+
+
+def _neighbour_offsets(prob: OccupancyProblem) -> np.ndarray:
+    """Rows (lo, hi): per action i, the offsets from i to the nearest action
+    below and above it whose (W, P) differs from (W_i, P_i); 0 where there
+    is none.  Equal (W, P) twins, such as mu = 0 and the smallest ratio on a
+    market without c = 0 atoms, are passed over: a run of equal neighbours
+    is one candidate."""
+    n = prob.n_actions
+    new = np.ones(n + 1, dtype=bool)  # whether action i starts a run of twins
+    new[1:n] = (prob.w[1:] != prob.w[:-1]) | (prob.p[1:] != prob.p[:-1])
+    edges = np.flatnonzero(new)  # run starts, then n
+    run = np.cumsum(new[:n]) - 1
+    i = np.arange(n)
+    return np.array((
+        np.where(run > 0, edges[run] - 1 - i, 0),
+        np.where(run < edges.shape[0] - 2, edges[run + 1] - i, 0),
+    ))
 
 
 def _dual_phase(prob: OccupancyProblem, basis: list[int], tol: float) -> bool:
@@ -825,18 +853,27 @@ def _dual_phase(prob: OccupancyProblem, basis: list[int], tol: float) -> bool:
     made primal infeasible: its reduced costs are near dual feasible, so a
     few dual pivots restore primal feasibility close to the new optimum, and
     the primal simplex then certifies optimality with the true costs.  Each
-    pivot leaves by the most negative basic value x_B[r]; the pivot row
-    e_r^T B^-1 A comes from the structured pricing identity
-    A^T z = -reduced_costs(z, phase1) with z = B^-T e_r.  The ratio test runs
-    over nonbasic columns with a negative row entry and breaks ties by the
-    largest |entry|.  Reduced costs above zero read as zero (cost shifting),
-    so a start within round-off of dual feasibility does not stall.
+    pivot leaves by the most negative basic value x_B[r].
+
+    Only the basis's neighbours are priced.  W and P lie on a concave curve
+    in multiplier order, so a dual step moves one state's threshold by one
+    candidate: the entering column is nearly always the nearest multiplier
+    below or above a basic column of the same state, skipping (W, P) twins
+    (``_neighbour_offsets``).  Slot k and R + k of the R x (2R + 1) matrix N
+    hold the constraint columns of basis position k's lower and upper
+    neighbours, slot 2R the slack; a pivot refills the two slots of the
+    position it changed.  Per pivot, y = c_B B^-1, the reduced costs
+    d = min(c_N - y N, 0) read positive ones as zero (so a start within
+    round-off of dual feasibility does not stall) and the pivot row is
+    e_r^T B^-1 N.  The ratio test runs over live, nonbasic slots with a
+    row entry below -1e-9 and breaks ties by the largest |entry|.
 
     The basis inverse is `_simplex_loop`'s: explicit, with product-form
     updates and a drift check.  The basis is handed over only if it passes
     the check a primal-feasible start passes, on a fresh factorization.
-    Returns False (the basis is then of no use) on a singular basis, a row
-    with no negative entry (the program is infeasible, or the start too far
+    Returns False (the basis is then of no use, and the caller starts from
+    its crash vertices) on a singular basis, a row with no negative entry
+    among the neighbours (the program is infeasible, or the start too far
     off) or after 4 pivots per row.
     """
     R = prob.n_rows
@@ -844,24 +881,34 @@ def _dual_phase(prob: OccupancyProblem, basis: list[int], tol: float) -> bool:
     B = _basis_matrix(prob, basis)
     b_inv = _inverse(B)  # the caller checked that B is nonsingular
     x_b = b_inv @ b
+    cb = _objective_coeffs(prob, basis)
     basic = np.zeros(prob.n_cols + 1, dtype=bool)
     basic[basis] = True
-    d = _reduced_costs(prob, b_inv.T @ _objective_coeffs(prob, basis), phase1=False)
-    np.minimum(d, 0.0, out=d)
-    row = np.empty(prob.n_cols + 1)
+    n = prob.n_actions
+    table = _neighbour_offsets(prob)
+    lo, hi = table.tolist()  # for the per-pivot refill
+    # columns from `paired` on (state m's forced bid-1, the slack) have none
+    paired = prob.n_cols - 1 if prob.bid1_at_m else prob.n_cols
+    ids = np.asarray(basis, dtype=int)
+    offsets = np.where(ids < paired, table[:, ids % n], 0).ravel()
+    live = np.append(offsets != 0, True)
+    ids = np.append(np.where(live[:-1], np.tile(ids, 2) + offsets, prob.slack_id), prob.slack_id)
+    N = basis_layout(prob, ids).fill(prob, np.zeros((R, 2 * R + 1), order="F"))
+    c_n = _objective_coeffs(prob, ids)
     for _ in range(4 * R):
         leave = int(np.argmin(x_b))
         if x_b[leave] >= -tol:
-            return _primal_values(prob, _basis_matrix(prob, basis), tol) is not None
-        _reduced_costs(prob, b_inv[leave], phase1=True, out=row)
-        np.negative(row, out=row)
-        cand = np.nonzero((row < -1e-9) & ~basic)[0]
+            return _primal_values(prob, B, tol) is not None
+        row = b_inv[leave] @ N
+        cand = np.flatnonzero((row < -1e-9) & live & ~basic[ids])
         if cand.size == 0:
             return False
+        d = np.minimum(c_n - (b_inv.T @ cb) @ N, 0.0)
         ratios = d[cand] / row[cand]
         tie = cand[ratios <= ratios.min() + 1e-15]
-        j = int(tie[np.argmin(row[tie])])
-        a_j = _column(prob, j)
+        k = int(tie[np.argmin(row[tie])])
+        j = int(ids[k])
+        a_j = N[:, k]
         direction = b_inv @ a_j
         if float(np.max(np.abs(B @ direction - a_j))) > 1e-8 or abs(direction[leave]) < 1e-9:
             try:
@@ -870,18 +917,21 @@ def _dual_phase(prob: OccupancyProblem, basis: list[int], tol: float) -> bool:
                 return False
             x_b = b_inv @ b
             continue
-        theta_d = d[j] / row[j]
-        d -= theta_d * row
-        np.minimum(d, 0.0, out=d)
-        d[j] = 0.0
         theta_p = x_b[leave] / direction[leave]
         x_b -= theta_p * direction
         x_b[leave] = theta_p
         basic[basis[leave]] = False
         basic[j] = True
         basis[leave] = j
+        cb[leave] = c_n[k]
         B[:, leave] = a_j
         _update_inverse(b_inv, direction, leave)
+        for slot, offset in ((leave, lo[j % n]), (R + leave, hi[j % n])):
+            live[slot] = j < paired and offset != 0
+            if live[slot]:
+                ids[slot] = j + offset
+                N[:, slot] = _column(prob, j + offset)
+                c_n[slot] = _objective_coeff_one(prob, j + offset)
     return False
 
 

@@ -25,6 +25,7 @@ from spacing_auctions.benchmark import (
     _column,
     _crash_bases,
     _dual_phase,
+    _neighbour_offsets,
     _objective_coeffs,
     _ratio_test,
     _reduced_costs,
@@ -486,6 +487,49 @@ def test_failed_dual_restart_falls_back_to_the_crash_vertex():
             assert start == _chain_basis(prob, action)  # left unmodified
             fallbacks += 1
     assert fallbacks >= 2
+
+
+def test_neighbour_offsets_pass_over_twins():
+    # the dual phase prices each basic column's nearest multipliers below
+    # and above whose (W, P) differs; without c = 0 atoms, mu = 0 and the
+    # smallest ratio win and pay alike, so a basic mu = 0 column's upper
+    # neighbour is the first action after that run of twins
+    rng = SplitMix64(61)
+    markets = [discretize_uniform(20), atoms_market((0.1, 0.2, 0.5), (0.3, 0.6, 0.5))]
+    markets += [random_market(rng, p_grid=[0.2, 0.4, 0.6]) for _ in range(20)]
+    curves = []
+    for market in markets:
+        mus = candidate_multipliers(market)
+        curves.append((mus, *win_pay_curve(market, mus)))
+    # longer runs of twins, and twins that are not adjacent
+    curves.append((np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, np.inf]),
+                   np.array([1.0, 1.0, 1.0, 0.5, 0.5, 1.0, 0.0]),
+                   np.array([0.6, 0.6, 0.6, 0.2, 0.2, 0.6, 0.0])))
+    for mus, w, p in curves:
+        prob = occupancy_problem((mus, w, p), sqrt_reward(), 3, 0.2, True)
+        lo, hi = _neighbour_offsets(prob)
+        pairs = list(zip(w.tolist(), p.tolist()))
+        for i, pair in enumerate(pairs):
+            below = [k for k in range(i) if pairs[k] != pair]
+            above = [k for k in range(i + 1, len(pairs)) if pairs[k] != pair]
+            assert lo[i] == (below[-1] - i if below else 0)
+            assert hi[i] == (above[0] - i if above else 0)
+    for mus, w, p in curves[: len(markets)]:
+        assert (w[0], p[0]) == (w[1], p[1])  # mu = 0 and the smallest ratio
+
+
+def test_dual_phase_enters_the_slack_when_the_budget_loosens():
+    # m = 1, basis: bid 1 and mu = 1 mixed to spend rho = 0.7, beyond what
+    # bid 1 pays.  The mu = 1 mass goes negative, and only the slack has a
+    # negative entry in its row of B^-1 A
+    mus = np.array([0.0, 1.0, 2.0, np.inf])
+    w = np.array([1.0, 0.6, 0.3, 0.0])
+    p = np.array([0.5, 0.3, 0.1, 0.0])
+    prob = occupancy_problem((mus, w, p), sqrt_reward(), 1, 0.7, False)
+    basis = [0, 1]
+    assert _basic_values(prob, _basis_matrix(prob, basis))[0].min() < -0.5
+    assert _dual_phase(prob, basis, 1e-9)
+    assert basis == [0, prob.slack_id]
 
 
 def random_bases(rng: SplitMix64, prob, sol):

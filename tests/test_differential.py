@@ -18,6 +18,14 @@ from spacing_auctions.benchmark import (
     InfeasibleOccupancyError,
     _basic_values,
     _basis_matrix,
+    _column,
+    _crash_bases,
+    _dual_phase,
+    _inverse,
+    _objective_coeffs,
+    _primal_values,
+    _reduced_costs,
+    _update_inverse,
     occupancy_problem,
     solve_occupancy_problem,
     verify_basis,
@@ -76,29 +84,111 @@ def dual_restarted(prob, starts, sol):
     return sol.start == 0 and _basic_values(prob, _basis_matrix(prob, starts[0]))[0].min() < -1e-9
 
 
-def test_dual_restarts_on_captured_fkors_programs_match_highs(monkeypatch):
+@pytest.fixture(scope="module")
+def captured():
+    """(prob, starts, sol) of every solve of FKORS seed 1 on the 500-atom
+    market at T=300."""
     market = wide_market()
     cfg = FkorsConfig.from_defaults(0.2, 300, mean_conversion(market), seed=1)
-    captured = []
+    out = []
     solve = fkors.solve_occupancy_problem
 
     def recording(prob, tol=1e-9, starts=()):
         starts = [list(s) for s in starts]
         sol = solve(prob, tol, starts)
-        captured.append((prob, starts, sol))
+        out.append((prob, starts, sol))
         return sol
 
-    monkeypatch.setattr(fkors, "solve_occupancy_problem", recording)
-    run_fkors(market, sqrt_reward(), cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fkors, "solve_occupancy_problem", recording)
+        run_fkors(market, sqrt_reward(), cfg)
+    assert all(prob.m == cfg.m for prob, _, _ in out)
+    return out
+
+
+def test_dual_restarts_on_captured_fkors_programs_match_highs(captured):
     restarted = [(prob, sol) for prob, starts, sol in captured if dual_restarted(prob, starts, sol)]
     assert len(restarted) >= 20
     # every fourth one, across the run: m = 90, a few hundred actions
     checked = restarted[::4]
     assert max(prob.n_actions for prob, _ in checked) >= 200
     for prob, sol in checked:
-        assert prob.m == cfg.m
         assert sol.objective == pytest.approx(highs(prob), abs=HIGHS_TOL)
         assert verify_basis(prob, sol.basis) is not None
+
+
+def full_width_dual_phase(prob, basis, tol):
+    """Reference dual phase that prices every column: the pivot row through
+    the pricing identity A^T z = -reduced_costs(z, phase1) and reduced costs
+    carried across pivots, clipped at zero."""
+    B = _basis_matrix(prob, basis)
+    b_inv = _inverse(B)
+    x_b = b_inv @ prob.b
+    basic = np.zeros(prob.n_cols + 1, dtype=bool)
+    basic[basis] = True
+    d = np.minimum(_reduced_costs(prob, b_inv.T @ _objective_coeffs(prob, basis), False), 0.0)
+    for _ in range(4 * prob.n_rows):
+        leave = int(np.argmin(x_b))
+        if x_b[leave] >= -tol:
+            return _primal_values(prob, B, tol) is not None
+        row = -_reduced_costs(prob, b_inv[leave], phase1=True)
+        cand = np.nonzero((row < -1e-9) & ~basic)[0]
+        if cand.size == 0:
+            return False
+        ratios = d[cand] / row[cand]
+        tie = cand[ratios <= ratios.min() + 1e-15]
+        j = int(tie[np.argmin(row[tie])])
+        a_j = _column(prob, j)
+        direction = b_inv @ a_j
+        if np.abs(B @ direction - a_j).max() > 1e-8 or abs(direction[leave]) < 1e-9:
+            b_inv = _inverse(B)
+            x_b = b_inv @ prob.b
+            continue
+        d = np.minimum(d - d[j] / row[j] * row, 0.0)
+        d[j] = 0.0
+        theta = x_b[leave] / direction[leave]
+        x_b -= theta * direction
+        x_b[leave] = theta
+        basic[basis[leave]], basic[j] = False, True
+        basis[leave] = j
+        B[:, leave] = a_j
+        _update_inverse(b_inv, direction, leave)
+    return False
+
+
+def test_neighbour_pricing_keeps_the_restarts_full_pricing_makes(captured):
+    # the dual phase prices only the basis's neighbouring multipliers; on
+    # the captured programs it must succeed where pricing every column does
+    full = neighbour = 0
+    for prob, starts, _ in captured:
+        values = _basic_values(prob, _basis_matrix(prob, starts[0])) if starts else None
+        if values is None or values[0].min() >= -1e-9:
+            continue
+        ok = full_width_dual_phase(prob, list(starts[0]), 1e-9)
+        full += ok
+        neighbour += ok and _dual_phase(prob, list(starts[0]), 1e-9)
+    print(f"{neighbour} of {full} restarts")
+    assert full >= 20
+    assert neighbour >= 0.95 * full
+
+
+def test_a_start_whose_entering_column_is_no_neighbour_falls_back_to_a_crash_vertex():
+    # m = 2, start: action 2 in both states, paying more than rho.  The
+    # slack's row of B^-1 A is P_j - P_2, so only the skip column enters;
+    # action 2's neighbours (1 and 3) pay more than it does
+    mus = np.array([0.0, 1.0, 2.0, 3.0, np.inf])
+    w = np.array([1.0, 0.9, 0.7, 0.6, 0.0])
+    p = np.array([0.9, 0.95, 0.8, 0.85, 0.0])
+    prob = occupancy_problem((mus, w, p), sqrt_reward(), 2, 0.5, False)
+    start = [2, prob.n_actions + 2, prob.slack_id]
+    assert _basic_values(prob, _basis_matrix(prob, start))[0].min() < -0.1
+    assert full_width_dual_phase(prob, list(start), 1e-9)
+    assert not _dual_phase(prob, list(start), 1e-9)
+    assert _primal_values(prob, _basis_matrix(prob, _crash_bases(prob)[0]), 1e-9) is not None
+    sol = solve_occupancy_problem(prob, starts=[start])
+    assert sol.start == -1
+    assert sol.objective == pytest.approx(highs(prob), abs=HIGHS_TOL)
+    assert verify_basis(prob, sol.basis) is not None
 
 
 ADVERSARIAL = {

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -395,12 +396,14 @@ def wide_market():
     return MarketDistribution.from_tuples(atoms)
 
 
-def wide_runs(seeds=(1, 49), T=300):
+def wide_runs(seeds=(1, 49), T=300, m=None):
+    """FKORS on `wide_market`, with the default m unless `m` is given."""
     market = wide_market()
-    return [
-        run_fkors(market, sqrt_reward(), FkorsConfig.from_defaults(0.2, T, mean_conversion(market), seed=s))
-        for s in seeds
-    ]
+    runs = []
+    for s in seeds:
+        cfg = FkorsConfig.from_defaults(0.2, T, mean_conversion(market), seed=s)
+        runs.append(run_fkors(market, sqrt_reward(), cfg if m is None else replace(cfg, m=m)))
+    return runs
 
 
 def grid_runs(seeds=(1,), T=2000):
@@ -434,12 +437,15 @@ def test_wide_market_cleanup_after_dual_restart_passes_over_tiny_pivots():
 def test_wide_market_runs_do_not_depend_on_blas_threads():
     # at T=1000 (m=107) a basis inverse from numpy's LAPACK changed with the
     # thread count, and seed 1 made 145 or 146 solves; the grid run's cache
-    # checks take the chain elimination (banded solves and a 3x3 LU)
+    # checks take the chain elimination (banded solves and a 3x3 LU).  At
+    # m=170 the basis has 171 rows, where scipy's getrf gives other bits with
+    # two OpenBLAS threads than with one on random matrices, and the dual
+    # phase's products run on 171 x 343 neighbour matrices
     src = str(Path(spacing_auctions.__file__).resolve().parents[1])
     code = (
         "import sys; sys.path[:0] = sys.argv[1:]; from test_fkors import grid_runs, wide_runs; "
         "print([(repr(r.utility_true), r.config['cold_solves'], r.config['reused_plans']) "
-        "for r in wide_runs() + wide_runs((1,), 1000) + grid_runs()])"
+        "for r in wide_runs() + wide_runs((1,), 1000) + wide_runs((1,), 600, 170) + grid_runs()])"
     )
     outputs = [
         subprocess.run(
