@@ -41,7 +41,7 @@ Two solution paths exist on purpose:
   passes over every column.  Failing that, the solve starts from the crash
   vertices, and runs phase 1 only when none of them is feasible.  The
   primal loop prices every column, so each solution is certified optimal
-  on the full program.
+  on the full program.  Each loop starts from the LU that checked its basis.
   ``verify_basis`` re-checks a stored basis against fresh coefficients,
   letting the learner keep its policy when it is still optimal; only when
   no stored basis certifies does the learner solve again, warm-started from
@@ -89,8 +89,9 @@ from .simplex import LinearProgram
 _MASS_TOL = 1e-12
 _ZERO = np.zeros(1)
 Mixture = tuple[list[float], list[float]]  # (multipliers, weights) of one state
+# a checked basis as the simplex loops start from it: (B, C-ordered; x_B; getrf's LU, pivots)
+Start = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 _MAX_PIVOTS = 100_000
-_ROW_STRUCT_CACHE: dict[int, tuple] = {}
 
 
 class InfeasibleOccupancyError(ValueError):
@@ -142,24 +143,16 @@ class OccupancyProblem:
 
     def __post_init__(self):
         m = self.m
-        cached = _ROW_STRUCT_CACHE.get(m)
-        if cached is None:
-            own = np.full(m + 1, -1, dtype=int)
-            nxt = np.full(m + 1, -1, dtype=int)
-            if m >= 2:
-                own[1] = 0
-                for j in range(2, m):
-                    own[j] = j - 1
-                for l in range(1, m - 1):
-                    nxt[l] = l
-            n_rows = m + 1 if m >= 2 else 2
-            # per-state dual gather indices: row id, or n_rows for "dropped
-            # row" (y gets padded with a trailing zero)
-            own_sel = np.where(own[1:] >= 0, own[1:], n_rows)
-            next_sel = np.where(nxt[1:] >= 0, nxt[1:], n_rows)
-            cached = (own, nxt, own_sel, next_sel, n_rows)
-            _ROW_STRUCT_CACHE[m] = cached
-        own, nxt, own_sel, next_sel, n_rows = cached
+        own = np.full(m + 1, -1, dtype=int)
+        nxt = np.full(m + 1, -1, dtype=int)
+        if m >= 2:
+            own[1:m] = np.arange(m - 1)  # state 1 owns row 0, state l row l - 1
+            nxt[1 : m - 1] = np.arange(1, m - 1)
+        n_rows = m + 1 if m >= 2 else 2
+        # per-state dual gather indices: row id, or n_rows for "dropped
+        # row" (y gets padded with a trailing zero)
+        own_sel = np.where(own[1:] >= 0, own[1:], n_rows)
+        next_sel = np.where(nxt[1:] >= 0, nxt[1:], n_rows)
         object.__setattr__(self, "own_row", own)
         object.__setattr__(self, "next_row", nxt)
         n = self.mus.shape[0]
@@ -264,14 +257,14 @@ def occupancy_problem(
 class BasisLayout:
     """Nonzero entries of a basis matrix with n_rows rows.  Entry j sits at
     the Fortran-order flat position flat[j] (row + column * n_rows) and
-    equals const[j] + coef[j] * v[src[j]], where v is W followed by P: every
-    entry is affine in one coefficient, W_i or P_i, or constant (coef 0).
+    equals const[j] + coef[j] * v[src[j]], where v holds the W of the K
+    structural columns, their P, then a 0 that constant entries read.
 
-    The positions depend only on the basis ids, so one layout refills the
-    matrix for any coefficients W, P on the same action set.  It keeps the
-    decoded structural columns too: `struct` masks them among the ids, and
-    column k of them is (states[k], actions[k]).  A verified layout also
-    carries its ``ChainSplit`` (``chain``), derived on first use."""
+    It keeps the decoded structural columns: `struct` masks them among the
+    ids, and column k of them is (states[k], actions[k]).  All but the ids
+    and actions depend only on the states, so one layout refills the matrix
+    for any W and P, and ``rekey`` moves it onto another candidate set along
+    with its ``ChainSplit`` (``chain``), which is derived on first use."""
 
     n_rows: int
     ids: np.ndarray
@@ -285,7 +278,8 @@ class BasisLayout:
 
     def values(self, prob: OccupancyProblem) -> np.ndarray:
         """The entries for `prob`'s coefficients, in layout order."""
-        return self.const + self.coef * np.concatenate((prob.w, prob.p))[self.src]
+        v = np.concatenate((prob.w[self.actions], prob.p[self.actions], _ZERO))
+        return self.const + self.coef * v[self.src]
 
     def fill(self, prob: OccupancyProblem, out: np.ndarray) -> np.ndarray:
         """Write the entries into the zeroed Fortran-ordered matrix `out`
@@ -294,6 +288,15 @@ class BasisLayout:
             raise ValueError("basis layouts fill Fortran-ordered matrices")
         out.reshape(-1, order="F")[self.flat] = self.values(prob)
         return out
+
+    def rekey(self, prob: OccupancyProblem, actions: np.ndarray) -> "BasisLayout":
+        """The same columns on `prob`, where structural column k plays action
+        actions[k]; everything but the ids and actions is shared."""
+        ids = np.full(self.ids.shape[0], prob.slack_id)
+        ids[self.struct] = prob.encode(self.states, actions)
+        twin = object.__new__(BasisLayout)
+        twin.__dict__.update(self.__dict__, ids=ids, actions=actions)
+        return twin
 
     @cached_property
     def chain(self) -> Optional["ChainSplit"]:
@@ -317,27 +320,28 @@ def basis_layout(prob: OccupancyProblem, basis: Sequence[int], art_base: int = -
     struct = ~(art_mask | slack_mask)
     s_ks = ks[struct]
     states, actions = prob.decode(ids[struct])
-    ones = np.ones(s_ks.shape[0])
-    zeros = np.zeros(s_ks.shape[0])
-    izeros = np.zeros(s_ks.shape[0], dtype=int)  # row 0; src of constant entries
-    # (rows, cols, src, const, coef) per block of entries; src < n_actions
-    # reads W, src >= n_actions reads P
+    K = s_ks.shape[0]
+    w_src = np.arange(K)  # v[k] is W of structural column k, v[K + k] its P
+    zero_src = np.full(K, 2 * K)  # the trailing 0 that constant entries read
+    ones = np.ones(K)
+    zeros = np.zeros(K)
+    # (rows, cols, src, const, coef) per block of entries
     blocks = [
-        (np.full(s_ks.shape[0], R - 2), s_ks, izeros, ones, zeros),
-        (np.full(s_ks.shape[0], R - 1), s_ks, actions + prob.n_actions, zeros, ones),
+        (np.full(K, R - 2), s_ks, zero_src, ones, zeros),
+        (np.full(K, R - 1), s_ks, w_src + K, zeros, ones),
     ]
     if prob.m >= 2:
-        blocks.append((izeros, s_ks, actions, (states == 1).astype(float), -ones))
+        blocks.append((np.zeros(K, dtype=int), s_ks, w_src, (states == 1).astype(float), -ones))
         own = prob.own_row[states]
         ok = own >= 1
-        blocks.append((own[ok], s_ks[ok], izeros[ok], ones[ok], zeros[ok]))
+        blocks.append((own[ok], s_ks[ok], zero_src[ok], ones[ok], zeros[ok]))
         nxt = prob.next_row[states]
         ok = nxt >= 0
-        blocks.append((nxt[ok], s_ks[ok], actions[ok], -ones[ok], ones[ok]))
+        blocks.append((nxt[ok], s_ks[ok], w_src[ok], -ones[ok], ones[ok]))
     identity = ks[art_mask | slack_mask]
     id_rows = np.where(slack_mask[identity], R - 1, ids[identity] - art_base)
     n_id = identity.shape[0]
-    blocks.append((id_rows, identity, np.zeros(n_id, dtype=int), np.ones(n_id), np.zeros(n_id)))
+    blocks.append((id_rows, identity, np.full(n_id, 2 * K), np.ones(n_id), np.zeros(n_id)))
     rows, cols, src, const, coef = (np.concatenate(part) for part in zip(*blocks))
     return BasisLayout(R, ids, rows + cols * R, src, const, coef, struct, states, actions)
 
@@ -462,9 +466,9 @@ def _basic_values(
     prob: OccupancyProblem, B: np.ndarray
 ) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """(x_B, LU, pivots) of the square basis matrix B, which LAPACK getrf
-    factors in place, if B is nonsingular (every |U diagonal| >= 1e-13) and
-    x_B is finite; None otherwise."""
-    lu, piv, _ = _getrf(B, overwrite_a=True)
+    factors in a copy, if B is nonsingular (every |U diagonal| >= 1e-13)
+    and x_B is finite; None otherwise."""
+    lu, piv, _ = _getrf(B)
     if abs(lu.diagonal()).min() < 1e-13:
         return None
     x_b, _ = _getrs(lu, piv, prob.b)
@@ -473,36 +477,12 @@ def _basic_values(
     return x_b, lu, piv
 
 
-def _primal_values(
-    prob: OccupancyProblem, B: np.ndarray, primal_tol: float
-) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """``_basic_values`` of B if no entry of x_B lies below -primal_tol."""
+def _primal_values(prob: OccupancyProblem, B: np.ndarray, primal_tol: float) -> Optional[Start]:
+    """(B, *``_basic_values``) if no entry of x_B lies below -primal_tol."""
     values = _basic_values(prob, B)
     if values is None or values[0].min() < -primal_tol:
         return None
-    return values
-
-
-_SPLIT_POSITIONS: dict[int, np.ndarray] = {}
-
-
-def _split_positions(R: int) -> np.ndarray:
-    """Where the entry in row r and column c of the pivot-then-border order
-    lands in a ``ChainSplit`` buffer, at index r + c * R; its chain rows are
-    rows 1..R-3 and its border rows 0, R-2 and R-1."""
-    table = _SPLIT_POSITIONS.get(R)
-    if table is None:
-        n = R - 3
-        cols, rows = np.divmod(np.arange(R * R), R)
-        a = rows - 1  # row of A
-        d = np.where(rows == 0, 0, rows - (R - 3))  # border row: state-1, mass, budget
-        pivot = cols < n
-        table = _SPLIT_POSITIONS[R] = np.where(
-            (rows >= 1) & (rows <= R - 3),
-            np.where(pivot, a + cols, 2 * n + a + n * (cols - n)),
-            np.where(pivot, 5 * n + d + 3 * cols, 8 * n + d + 3 * (cols - n)),
-        )
-    return table
+    return (B, *values)
 
 
 @dataclass(frozen=True)
@@ -557,7 +537,15 @@ class ChainSplit:
         new_col[pivots] = np.arange(n)
         new_col[border] = np.arange(n, R)
         cols, rows = np.divmod(layout.flat, R)
-        flat = _split_positions(R)[rows + new_col[cols] * R]
+        cols = new_col[cols]  # in the pivot-then-border order
+        a = rows - 1  # row of A
+        d = np.where(rows == 0, 0, rows - n)  # border row: state-1, mass, budget
+        pivot = cols < n
+        flat = np.where(
+            (rows >= 1) & (rows <= n),
+            np.where(pivot, a + cols, 2 * n + a + n * (cols - n)),
+            np.where(pivot, 5 * n + d + 3 * cols, 8 * n + d + 3 * (cols - n)),
+        )
         return ChainSplit(n, flat, new_col)
 
     def solve(
@@ -602,7 +590,7 @@ def _basis_solves(
     primal = _primal_values(prob, layout.fill(prob, np.zeros((R, R), order="F")), primal_tol)
     if primal is None:
         return None
-    x_b, lu, piv = primal
+    _, x_b, lu, piv = primal
     cb = np.zeros(R)
     cb[layout.struct] = prob.objective(layout.states, layout.actions)
     y, _ = _getrs(lu, piv, cb, trans=1)
@@ -707,22 +695,24 @@ def _ratio_test(
 
 
 def _simplex_loop(
-    prob: OccupancyProblem, basis: list[int], phase1: bool, tol: float
+    prob: OccupancyProblem, basis: list[int], start: Start, phase1: bool, tol: float
 ) -> np.ndarray:
-    """Revised primal simplex from a feasible basis; returns x_B.
+    """Revised primal simplex from a feasible basis and its `start`, both
+    pivoted in place; returns x_B.
 
-    The basis inverse is maintained in product form with periodic
-    refactorization by ``_inverse``.  Entering columns follow Dantzig's rule (first maximum,
-    deterministic) until a long streak of degenerate steps, after which the
-    loop switches to Bland's rule for guaranteed termination.  In phase 1
-    artificial identity columns (ids slack_id + 1 + row) may sit in the
-    basis; they price at -1 and may only leave.
+    The basis inverse, from the start's LU, is maintained in product form
+    with periodic refactorization by ``_inverse``.  Entering columns follow
+    Dantzig's rule (first maximum, deterministic) until a long streak of
+    degenerate steps, after which the loop switches to Bland's rule for
+    guaranteed termination.  In phase 1 artificial identity columns (ids
+    slack_id + 1 + row) may sit in the basis; they price at -1 and may only
+    leave.
     """
     R = prob.n_rows
     b = prob.b
     art_base = prob.slack_id + 1
-    B = _basis_matrix(prob, basis, art_base)
-    b_inv = _inverse(B)
+    B, _, lu, piv = start
+    b_inv = _lu_inverse(lu, piv)
     x_b = b_inv @ b
     refactor_left = 64
     bland = False
@@ -817,6 +807,11 @@ def _inverse(B: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(_solve(B, np.eye(B.shape[0])))
 
 
+def _lu_inverse(lu: np.ndarray, piv: np.ndarray) -> np.ndarray:
+    """``_inverse`` of the matrix whose getrf factors are `lu` and `piv`."""
+    return np.ascontiguousarray(_getrs(lu, piv, np.eye(lu.shape[0]))[0])
+
+
 def _update_inverse(b_inv: np.ndarray, direction: np.ndarray, leave: int) -> None:
     """Product-form update of B^-1 in place: the column whose B^-1 image is
     `direction` replaces basis position `leave`.  The rank-one step is BLAS
@@ -846,8 +841,11 @@ def _neighbour_offsets(prob: OccupancyProblem) -> np.ndarray:
     ))
 
 
-def _dual_phase(prob: OccupancyProblem, basis: list[int], tol: float) -> bool:
-    """Dual simplex pivots on `basis`, in place, until it is primal feasible.
+def _dual_phase(
+    prob: OccupancyProblem, basis: list[int], start: Start, tol: float
+) -> Optional[Start]:
+    """Dual simplex pivots on `basis` and its `start` (nonsingular, primal
+    infeasible), both in place, until the basis is primal feasible.
 
     Meant for a recently optimal basis that the new program's coefficients
     made primal infeasible: its reduced costs are near dual feasible, so a
@@ -868,18 +866,18 @@ def _dual_phase(prob: OccupancyProblem, basis: list[int], tol: float) -> bool:
     e_r^T B^-1 N.  The ratio test runs over live, nonbasic slots with a
     row entry below -1e-9 and breaks ties by the largest |entry|.
 
-    The basis inverse is `_simplex_loop`'s: explicit, with product-form
-    updates and a drift check.  The basis is handed over only if it passes
-    the check a primal-feasible start passes, on a fresh factorization.
-    Returns False (the basis is then of no use, and the caller starts from
-    its crash vertices) on a singular basis, a row with no negative entry
-    among the neighbours (the program is infeasible, or the start too far
-    off) or after 4 pivots per row.
+    The basis inverse is `_simplex_loop`'s: explicit, from the start's LU,
+    with product-form updates and a drift check.  The basis is handed over,
+    with the start from a fresh factorization, only if it passes the check
+    a primal-feasible start passes.  Returns None (the basis is then of no
+    use, and the caller starts from its crash vertices) on a singular
+    basis, a row with no negative entry among the neighbours (the program
+    is infeasible, or the start too far off) or after 4 pivots per row.
     """
     R = prob.n_rows
     b = prob.b
-    B = _basis_matrix(prob, basis)
-    b_inv = _inverse(B)  # the caller checked that B is nonsingular
+    B, _, lu, piv = start
+    b_inv = _lu_inverse(lu, piv)
     x_b = b_inv @ b
     cb = _objective_coeffs(prob, basis)
     basic = np.zeros(prob.n_cols + 1, dtype=bool)
@@ -898,11 +896,11 @@ def _dual_phase(prob: OccupancyProblem, basis: list[int], tol: float) -> bool:
     for _ in range(4 * R):
         leave = int(np.argmin(x_b))
         if x_b[leave] >= -tol:
-            return _primal_values(prob, B, tol) is not None
+            return _primal_values(prob, B, tol)
         row = b_inv[leave] @ N
         cand = np.flatnonzero((row < -1e-9) & live & ~basic[ids])
         if cand.size == 0:
-            return False
+            return None
         d = np.minimum(c_n - (b_inv.T @ cb) @ N, 0.0)
         ratios = d[cand] / row[cand]
         tie = cand[ratios <= ratios.min() + 1e-15]
@@ -914,7 +912,7 @@ def _dual_phase(prob: OccupancyProblem, basis: list[int], tol: float) -> bool:
             try:
                 b_inv = _inverse(B)
             except np.linalg.LinAlgError:
-                return False
+                return None
             x_b = b_inv @ b
             continue
         theta_p = x_b[leave] / direction[leave]
@@ -932,16 +930,17 @@ def _dual_phase(prob: OccupancyProblem, basis: list[int], tol: float) -> bool:
                 ids[slot] = j + offset
                 N[:, slot] = _column(prob, j + offset)
                 c_n[slot] = _objective_coeff_one(prob, j + offset)
-    return False
+    return None
 
 
-def _phase1(prob: OccupancyProblem, tol: float) -> list[int]:
-    """Feasible structural basis via artificial columns (the all-skip point
-    always exists, so phase 1 cannot fail on valid data)."""
+def _phase1(prob: OccupancyProblem, tol: float) -> tuple[list[int], Start]:
+    """Feasible structural basis via artificial columns, and its start (the
+    all-skip point always exists, so phase 1 cannot fail on valid data)."""
     n_rows = prob.n_rows
     art_base = prob.slack_id + 1
     basis = [prob.slack_id if i == n_rows - 1 else art_base + i for i in range(n_rows)]
-    x_b = _simplex_loop(prob, basis, phase1=True, tol=tol)
+    start = _primal_values(prob, _basis_matrix(prob, basis, art_base), np.inf)  # B = I
+    x_b = _simplex_loop(prob, basis, start, phase1=True, tol=tol)
     infeas = sum(v for c, v in zip(basis, x_b) if c >= art_base)
     if infeas > 10 * tol * n_rows:
         raise InfeasibleOccupancyError(
@@ -964,7 +963,10 @@ def _phase1(prob: OccupancyProblem, tol: float) -> list[int]:
             basis[i] = int(cand[0])
         else:
             raise RuntimeError("redundant row survived in reduced occupancy system")
-    return basis
+    start = _primal_values(prob, _basis_matrix(prob, basis), np.inf)
+    if start is None:
+        raise RuntimeError("phase 1 ended on a singular basis")
+    return basis, start
 
 
 def solve_occupancy_problem(
@@ -981,27 +983,31 @@ def solve_occupancy_problem(
     of a miss.  The solution's `start` is the index in `starts` of the basis
     it began from by either route, -1 for a crash vertex or phase 1.
     """
-    basis, used = None, -1
-    restart = False  # whether starts[0] is nonsingular but primal infeasible
+    basis, start, used = None, None, -1
     for i, candidate in enumerate(starts):
-        values = _basic_values(prob, _basis_matrix(prob, candidate)) if _valid_ids(
+        checked = _primal_values(prob, _basis_matrix(prob, candidate), np.inf) if _valid_ids(
             prob, candidate) else None
-        if values is None:
+        if checked is None:  # invalid or singular; any x_B passes a tolerance of inf
             continue
-        if values[0].min() >= -tol:
-            basis, used = list(candidate), i  # the simplex pivots it in place
+        if checked[1].min() >= -tol:
+            basis, start, used = list(candidate), checked, i  # pivoted in place
             break
-        restart |= i == 0
-    if restart and basis is None:
+        if i == 0:
+            start = checked  # nonsingular but primal infeasible: the dual restart's
+    if basis is None and start is not None:
         candidate = list(starts[0])
-        if _dual_phase(prob, candidate, tol):
+        start = _dual_phase(prob, candidate, start, tol)
+        if start is not None:
             basis, used = candidate, 0
     if basis is None:
-        basis = next((
-            candidate for candidate in _crash_bases(prob)
-            if _primal_values(prob, _basis_matrix(prob, candidate), tol) is not None
-        ), None) or _phase1(prob, tol)
-    x_b = _simplex_loop(prob, basis, phase1=False, tol=tol)
+        for candidate in _crash_bases(prob):
+            start = _primal_values(prob, _basis_matrix(prob, candidate), tol)
+            if start is not None:
+                basis = candidate
+                break
+        else:
+            basis, start = _phase1(prob, tol)
+    x_b = _simplex_loop(prob, basis, start, phase1=False, tol=tol)
     return _solution_from_basis(prob, basis, x_b, used)
 
 

@@ -73,7 +73,7 @@ def cmd_warmup_curve(args) -> int:
 def cmd_regret_sweep(args) -> int:
     t_list = [int(t) for t in args.t_list.split(",")]
     base = load_config(args.config)
-    print("T,algorithm,mean_regret,mean_utility_true,opt_per_round")
+    print("T,algorithm,mean_regret,mean_utility_true,opt_per_round,regret_per_sqrt_T")
     for T in t_list:
         doc = dict(base.raw)
         doc["T"] = T
@@ -89,7 +89,8 @@ def cmd_regret_sweep(args) -> int:
             entries = by_alg[alg]
             mean_reg = sum(r for r, _ in entries) / len(entries)
             mean_util = sum(u for _, u in entries) / len(entries)
-            print(f"{T},{alg},{_fmt(mean_reg)},{_fmt(mean_util)},{_fmt(opt)}")
+            print(f"{T},{alg},{_fmt(mean_reg)},{_fmt(mean_util)},{_fmt(opt)},"
+                  f"{_fmt(mean_reg / T ** 0.5)}")
     return 0
 
 

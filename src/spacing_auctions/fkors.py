@@ -43,10 +43,10 @@ curves use the market module's candidate rule and suffix sums, a cold solve
 returns its basic values with its basis, and the benchmark module's mixture
 rule turns the plan's occupancy mass into per-state mixtures, and the
 benchmark module's ``OccupancyProblem`` encodes (state, action) columns as
-ids.  Each cached basis carries a ``benchmark.MixtureTemplate``, built when
-the basis first serves a plan; an epoch binds its basic values to it, and a
-state's mixture and cumulative weights are normalized the first time the
-epoch consults that state.
+ids.  Each cached basis keeps its ``benchmark.BasisLayout`` across changes
+of the candidate set, and a ``benchmark.MixtureTemplate`` built when it
+first serves a plan; an epoch binds its basic values to it, and a state's
+mixture and cumulative weights are normalized on the epoch's first use.
 """
 
 from __future__ import annotations
@@ -206,34 +206,26 @@ class _EmpiricalCurves:
 
 
 class _CachedBasis:
-    """A recently optimal basis, kept as what outlives a change of the
-    candidate set: the mask of its structural columns, their states and
-    their multiplier values.  `layout` (None while a multiplier is not a
-    candidate) and the mixture `template` belong to the candidate set of
-    `version`; the template is built when the basis first serves a plan."""
+    """A recently optimal basis: its `layout` on the current candidate set
+    (None while one of its multipliers `mus` is not a candidate), the last
+    `live` layout, and the mixture `template`, built when it first serves a
+    plan.  Layout entries, chain split and template depend only on the
+    columns' states and multipliers, so a remap re-keys the layout alone."""
 
-    __slots__ = ("struct", "states", "mus", "version", "layout", "template")
+    __slots__ = ("layout", "live", "mus", "template")
 
-    def __init__(self, prob: OccupancyProblem, basis, version: int):
-        self.layout = basis_layout(prob, basis)
-        self.struct = self.layout.struct
-        self.states = self.layout.states
-        self.mus = prob.mus[self.layout.actions]
-        self.version = version
+    def __init__(self, prob: OccupancyProblem, basis):
+        self.layout = self.live = basis_layout(prob, basis)
+        self.mus = prob.mus[self.live.actions]
         self.template: Optional[MixtureTemplate] = None
 
-    def remap(self, prob: OccupancyProblem, version: int) -> None:
-        """Move the basis onto `prob`'s candidate set, numbered `version`."""
-        self.version = version
-        self.template = None
-        cands = prob.mus
-        pos = np.searchsorted(cands, self.mus)
-        if np.any(cands[np.minimum(pos, cands.shape[0] - 1)] != self.mus):
+    def remap(self, prob: OccupancyProblem) -> None:
+        """Move the basis onto `prob`'s candidate set."""
+        pos = np.searchsorted(prob.mus, self.mus)
+        if np.array_equal(prob.mus[np.minimum(pos, prob.mus.shape[0] - 1)], self.mus):
+            self.layout = self.live = self.live.rekey(prob, pos)
+        else:
             self.layout = None
-            return
-        ids = np.full(self.struct.shape[0], prob.slack_id)
-        ids[self.struct] = prob.encode(self.states, pos)
-        self.layout = basis_layout(prob, ids)
 
 
 class _EpochPlanner:
@@ -242,13 +234,13 @@ class _EpochPlanner:
     The optimum tends to wander among a handful of neighbouring vertices as
     the empirical curves drift, so a tiny move-to-front cache of bases
     absorbs most re-solves; every plan served is certified optimal for the
-    current epoch's program within the configured tolerance.  A cached
-    basis (``_CachedBasis``) is re-encoded into column ids, and its layout
-    rebuilt, only when the candidate set changes; so is the epoch's program,
-    into which each epoch swaps its W and P.  Verification builds the basis
-    costs itself.  A miss re-solves warm, from the cached bases whose
-    multipliers are all still candidates: a primal-feasible one, or the most
-    recent one through the dual-simplex phase.
+    current epoch's program within the configured tolerance.  The epoch's
+    program is built once per candidate set, and each epoch swaps in its W
+    and P; when the set changes, every cached basis (``_CachedBasis``) is
+    re-keyed onto it.  Verification builds the basis costs itself.  A miss
+    re-solves warm, from the cached bases whose multipliers are all still
+    candidates: a primal-feasible one, or the most recent one through the
+    dual-simplex phase.
     """
 
     _CACHE = 6
@@ -280,12 +272,12 @@ class _EpochPlanner:
             )
             self._version = version
             self._d_buf = np.empty(self._prob.n_cols + 1)
+            for entry in self.cache:
+                entry.remap(self._prob)
         prob = self._prob.with_curves(w, p)
         x_b = None
         if self.cfg.reuse_tolerance > 0.0:
             for idx, entry in enumerate(self.cache):
-                if entry.version != version:
-                    entry.remap(prob, version)
                 if entry.layout is None:
                     continue
                 x_b = verify_basis_values(
@@ -308,13 +300,13 @@ class _EpochPlanner:
             sol = solve_occupancy_problem(prob, starts=starts)
             self.cold_solves += 1
             self.warm_starts += sol.start >= 0
-            self.cache.insert(0, _CachedBasis(prob, sol.basis, version))
+            self.cache.insert(0, _CachedBasis(prob, sol.basis))
             del self.cache[self._CACHE:]
             x_b = sol.x_b
         entry = self.cache[0]
         if entry.template is None:
-            entry.template = MixtureTemplate(prob, entry.states, entry.layout.actions)
-        return prob, StateMixtures(entry.template, x_b[entry.struct])
+            entry.template = MixtureTemplate(prob, entry.layout.states, entry.layout.actions)
+        return prob, StateMixtures(entry.template, x_b[entry.layout.struct])
 
 
 def run_fkors(

@@ -479,7 +479,7 @@ def test_failed_dual_restart_falls_back_to_the_crash_vertex():
             values = _basic_values(prob, _basis_matrix(prob, start))
             if values is None or values[0].min() >= -1e-9:
                 continue
-            if _dual_phase(prob, list(start), 1e-9):
+            if _dual_phase(prob, list(start), (_basis_matrix(prob, start), *values), 1e-9):
                 continue
             solved = solve_occupancy_problem(prob, starts=[start])
             assert solved.start == -1
@@ -528,7 +528,8 @@ def test_dual_phase_enters_the_slack_when_the_budget_loosens():
     prob = occupancy_problem((mus, w, p), sqrt_reward(), 1, 0.7, False)
     basis = [0, 1]
     assert _basic_values(prob, _basis_matrix(prob, basis))[0].min() < -0.5
-    assert _dual_phase(prob, basis, 1e-9)
+    assert _dual_phase(
+        prob, basis, benchmark._primal_values(prob, _basis_matrix(prob, basis), np.inf), 1e-9)
     assert basis == [0, prob.slack_id]
 
 

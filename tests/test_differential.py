@@ -166,7 +166,8 @@ def test_neighbour_pricing_keeps_the_restarts_full_pricing_makes(captured):
             continue
         ok = full_width_dual_phase(prob, list(starts[0]), 1e-9)
         full += ok
-        neighbour += ok and _dual_phase(prob, list(starts[0]), 1e-9)
+        start = (_basis_matrix(prob, starts[0]), *values)
+        neighbour += ok and _dual_phase(prob, list(starts[0]), start, 1e-9) is not None
     print(f"{neighbour} of {full} restarts")
     assert full >= 20
     assert neighbour >= 0.95 * full
@@ -183,7 +184,8 @@ def test_a_start_whose_entering_column_is_no_neighbour_falls_back_to_a_crash_ver
     start = [2, prob.n_actions + 2, prob.slack_id]
     assert _basic_values(prob, _basis_matrix(prob, start))[0].min() < -0.1
     assert full_width_dual_phase(prob, list(start), 1e-9)
-    assert not _dual_phase(prob, list(start), 1e-9)
+    assert _dual_phase(
+        prob, list(start), _primal_values(prob, _basis_matrix(prob, start), np.inf), 1e-9) is None
     assert _primal_values(prob, _basis_matrix(prob, _crash_bases(prob)[0]), 1e-9) is not None
     sol = solve_occupancy_problem(prob, starts=[start])
     assert sol.start == -1

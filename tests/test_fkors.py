@@ -13,8 +13,10 @@ import pytest
 import spacing_auctions
 from spacing_auctions import fkors
 from spacing_auctions.benchmark import (
+    ChainSplit,
     _chain_basis,
     _crash_bases,
+    basis_layout,
     occupancy_problem,
     solve_occupancy_problem,
 )
@@ -308,19 +310,36 @@ def test_cached_basis_remaps_onto_a_grown_candidate_set():
         atoms = [(0.05 + 0.9 * rng.uniform(), 0.2 + 0.8 * rng.uniform()) for _ in range(9)]
         small, grown = program(atoms[:5]), program(atoms)
         assert set(small.mus.tolist()) < set(grown.mus.tolist())
+        drifted = grown.with_curves(
+            np.clip(grown.w * (1 + 0.05 * (rng.uniform() - 0.5)), 0.0, 1.0),
+            grown.p * (1 + 0.05 * (rng.uniform() - 0.5)),
+        )
         for basis in [solve_occupancy_problem(small).basis] + _crash_bases(small):
-            entry = _CachedBasis(small, basis, version=1)
+            entry = _CachedBasis(small, basis)
             want = column_pairs(small, entry.layout.ids)
-            entry.remap(grown, version=2)
-            assert entry.version == 2
+            chain = entry.layout.chain
+            entry.remap(grown)
             assert column_pairs(grown, entry.layout.ids) == want
             moved += entry.layout.ids.tolist() != list(basis)
+            # the re-keyed layout fills as a fresh one does, its ids hold
+            # the grown program's slack id, and it keeps the chain split
+            fresh = basis_layout(grown, entry.layout.ids)
+            for prob in (grown, drifted):
+                shape = (prob.n_rows, prob.n_rows)
+                got = entry.layout.fill(prob, np.zeros(shape, order="F"))
+                assert got.tobytes() == fresh.fill(prob, np.zeros(shape, order="F")).tobytes()
+            slack = np.asarray(basis) == small.slack_id
+            assert np.array_equal(entry.layout.ids == grown.slack_id, slack)
+            assert entry.layout.chain is chain
+            if chain is not None:
+                assert np.array_equal(chain.flat, ChainSplit.of(fresh).flat)
+                assert np.array_equal(chain.new_col, ChainSplit.of(fresh).new_col)
         # a basis playing a multiplier the small set lacks has no ids there
         for action, mu in enumerate(grown.mus.tolist()):
             if mu in small.mus.tolist():
                 continue
-            entry = _CachedBasis(grown, _chain_basis(grown, action), version=2)
-            entry.remap(small, version=3)
+            entry = _CachedBasis(grown, _chain_basis(grown, action))
+            entry.remap(small)
             assert entry.layout is None
             dropped += 1
     assert moved >= 20 and dropped >= 20
@@ -333,8 +352,8 @@ def test_requantization_skips_cached_bases_whose_multiplier_left(monkeypatch):
     events = []
     remap, verify = _CachedBasis.remap, fkors.verify_basis_values
 
-    def recording_remap(entry, prob, version):
-        remap(entry, prob, version)
+    def recording_remap(entry, prob):
+        remap(entry, prob)
         if entry.layout is None:
             assert not np.isin(entry.mus, prob.mus).all()
             events.append("drop")
@@ -424,6 +443,39 @@ def test_wide_market_misses_restart_from_cached_bases():
     warm = sum(rec.config["warm_starts"] for rec in runs)
     assert cold > 90
     assert warm >= 0.9 * cold
+
+
+# (utility_true by repr, cold_solves, warm_starts, reused_plans) of FKORS on
+# the 500-atom market at T=300, where nearly every epoch misses the cache
+WIDE_PINNED = {
+    1: ("125.97078739886372", 47, 46, 31),
+    2: ("136.86317266842616", 58, 57, 31),
+    3: ("129.7388043829863", 52, 51, 28),
+    4: ("130.16620714918704", 48, 47, 34),
+}
+
+
+def test_wide_market_miss_path_is_pinned():
+    for rec in wide_runs(tuple(WIDE_PINNED)):
+        c = rec.config
+        got = (repr(rec.utility_true), c["cold_solves"], c["warm_starts"], c["reused_plans"])
+        assert got == WIDE_PINNED[rec.seed]
+
+
+def test_each_cached_basis_is_derived_once(monkeypatch):
+    # a basis's layout entries and chain split depend only on its columns'
+    # states and multipliers, so a change of the candidate set re-keys the
+    # cached bases instead of deriving them again
+    layouts, splits = [], []
+    make_layout, split_of = fkors.basis_layout, ChainSplit.of
+    monkeypatch.setattr(
+        fkors, "basis_layout", lambda *args: layouts.append(1) or make_layout(*args))
+    monkeypatch.setattr(
+        ChainSplit, "of", staticmethod(lambda layout: splits.append(1) or split_of(layout)))
+    (rec,) = wide_runs((1,))
+    cold = rec.config["cold_solves"]
+    assert len(splits) <= cold
+    assert len(layouts) == cold
 
 
 def test_wide_market_cleanup_after_dual_restart_passes_over_tiny_pivots():

@@ -224,7 +224,7 @@ def test_cli_regret_sweep(tmp_path, capsys):
     )
     out = capsys.readouterr().out.splitlines()
     assert rc == 0
-    assert out[0] == "T,algorithm,mean_regret,mean_utility_true,opt_per_round"
+    assert out[0] == "T,algorithm,mean_regret,mean_utility_true,opt_per_round,regret_per_sqrt_T"
     assert len(out) == 3
     assert (tmp_path / "sweep" / "T200" / "summary.csv").exists()
     assert (tmp_path / "sweep" / "T400" / "summary.csv").exists()
