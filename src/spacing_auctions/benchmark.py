@@ -39,9 +39,16 @@ Two solution paths exist on purpose:
   dual step nearly always moves one state's threshold by one candidate, so
   a pivot takes a few products with an R x (2R + 1) matrix instead of
   passes over every column.  Failing that, the solve starts from the crash
-  vertices, and runs phase 1 only when none of them is feasible.  The
-  primal loop prices every column, so each solution is certified optimal
-  on the full program.  Each loop starts from the LU that checked its basis.
+  vertices, and runs phase 1 only when none of them is feasible.  A start
+  may be a ``basis_layout``: a chain-covered one is screened by its chain
+  split, and only the start the simplex pivots from is filled and
+  factored.  The primal loop's entering column is the first maximum over
+  every nonbasic column, found by pricing each state at its threshold
+  (``_threshold_pricing``): on a market's curves a state's reduced costs
+  peak at the first multiplier with mu >= y_budget / a_l, the bid rule
+  min(1, c / mu) applied to the duals.  So each solution is certified
+  optimal on the full program.  Each loop starts from the LU that checked
+  its basis.
   ``verify_basis`` re-checks a stored basis against fresh coefficients,
   letting the learner keep its policy when it is still optimal; only when
   no stored basis certifies does the learner solve again, warm-started from
@@ -52,6 +59,7 @@ Two solution paths exist on purpose:
   solved by elimination along the chain (``ChainSplit``): unit pivots on
   the flow rows, banded triangular solves and an LU of a 3x3 Schur
   complement; any other basis by one LAPACK LU of the refilled matrix.
+  Its dual check prices each state at its threshold as well.
   ``OccupancyProblem`` is the one home of the column encoding (``encode``,
   ``decode``) and of a column's objective coefficient r(l) W_i.
 
@@ -163,6 +171,13 @@ class OccupancyProblem:
         object.__setattr__(self, "slack_id", n_cols)
         object.__setattr__(self, "_own_sel", own_sel)
         object.__setattr__(self, "_next_sel", next_sel)
+        # column (l, i) has id state_base[l - 1] + i, as ``encode`` says
+        base = np.arange(m) * n
+        if self.bid1_at_m:
+            base[-1] -= self.bid1_idx
+        object.__setattr__(self, "state_base", base)
+        # it depends on the actions alone, so ``with_curves`` twins share it
+        object.__setattr__(self, "threshold_table", _threshold_table(self))
         rhs = np.zeros(n_rows)
         rhs[-2] = 1.0
         rhs[-1] = self.rho
@@ -209,7 +224,13 @@ class OccupancyProblem:
             raise ValueError("curves must hold one entry per multiplier")
         twin = object.__new__(OccupancyProblem)
         twin.__dict__.update(self.__dict__, w=w, p=p)
+        twin.__dict__.pop("market_curves", None)
         return twin
+
+    @cached_property
+    def market_curves(self) -> bool:
+        """``_market_curves`` of the program, built on first use."""
+        return _market_curves(self)
 
 
 def reward_vector(reward: RewardFn, m: int) -> np.ndarray:
@@ -349,7 +370,11 @@ def basis_layout(prob: OccupancyProblem, basis: Sequence[int], art_base: int = -
 def _basis_matrix(prob: OccupancyProblem, basis: Sequence[int], art_base: int = -1) -> np.ndarray:
     """Columns of the reduced system for the given ids, filled from their
     ``basis_layout`` (C-ordered, as the simplex's products expect)."""
-    layout = basis_layout(prob, basis, art_base)
+    return _layout_matrix(prob, basis_layout(prob, basis, art_base))
+
+
+def _layout_matrix(prob: OccupancyProblem, layout: BasisLayout) -> np.ndarray:
+    """The matrix `layout` fills for `prob` (C-ordered)."""
     return np.ascontiguousarray(
         layout.fill(prob, np.zeros((prob.n_rows, layout.ids.shape[0]), order="F"))
     )
@@ -365,7 +390,12 @@ def _column(prob: OccupancyProblem, col: int, art_base: int = -1) -> np.ndarray:
     if col == prob.slack_id:
         a[R - 1] = 1.0
         return a
-    state, action = prob.decode_one(col)
+    _write_column(prob, a, *prob.decode_one(col))
+    return a
+
+
+def _write_column(prob: OccupancyProblem, a: np.ndarray, state: int, action: int) -> None:
+    """Write structural column (state, action) into the zeroed vector `a`."""
     wi = prob.w[action]
     if prob.m >= 2:
         a[0] -= wi
@@ -375,9 +405,8 @@ def _column(prob: OccupancyProblem, col: int, art_base: int = -1) -> np.ndarray:
         nxt = prob.next_row[state]
         if nxt >= 0:
             a[nxt] -= 1.0 - wi
-    a[R - 2] += 1.0
-    a[R - 1] += prob.p[action]
-    return a
+    a[-2] += 1.0
+    a[-1] += prob.p[action]
 
 
 def _state_duals(prob: OccupancyProblem, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
@@ -389,32 +418,100 @@ def _state_duals(prob: OccupancyProblem, y: np.ndarray) -> tuple[np.ndarray, np.
     return y_pad[prob._own_sel], y_pad[prob._next_sel], float(y[0])
 
 
-def _reduced_costs(
-    prob: OccupancyProblem, y: np.ndarray, phase1: bool, out: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Reduced costs for every structural column plus the slack, in id order."""
-    m = prob.m
-    w, p = prob.w, prob.p
-    r = np.zeros(m) if phase1 else prob.r
+def _pricing_terms(
+    prob: OccupancyProblem, y: np.ndarray, phase1: bool
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """(a, beta, gamma) of the duals y: column (l, i) has the reduced cost
+    a[l-1] W_i + beta[l-1] - gamma P_i, and the slack -gamma."""
+    r = np.zeros(prob.m) if phase1 else prob.r
     ya, yb, y0 = _state_duals(prob, y)
-    y_mass, y_budget = float(y[-2]), float(y[-1])
-    n = prob.n_actions
+    y_mass = float(y[-2])
+    return r + y0 - yb, yb - ya - y_mass, float(y[-1])
+
+
+def _reduced_costs(prob: OccupancyProblem, y: np.ndarray, phase1: bool) -> np.ndarray:
+    """Reduced costs for every structural column plus the slack, in id order."""
+    m, n = prob.m, prob.n_actions
+    w, p = prob.w, prob.p
+    a, beta, gamma = _pricing_terms(prob, y, phase1)
     rows = m if not prob.bid1_at_m else m - 1
-    if out is None or out.shape[0] != prob.n_cols + 1:
-        out = np.empty(prob.n_cols + 1)
+    out = np.empty(prob.n_cols + 1)
     D = out[: rows * n].reshape(rows, n)
-    np.multiply((r + y0 - yb)[:rows, None], w[None, :], out=D)
-    D += (yb - ya - y_mass)[:rows, None]
-    D -= (y_budget * p)[None, :]
+    np.multiply(a[:rows, None], w[None, :], out=D)
+    D += beta[:rows, None]
+    D -= (gamma * p)[None, :]
     if prob.bid1_at_m:
         i = prob.bid1_idx
-        out[rows * n] = (
-            (r[m - 1] + y0 - yb[m - 1]) * w[i]
-            + (yb[m - 1] - ya[m - 1] - y_mass)
-            - y_budget * p[i]
-        )
-    out[-1] = -y_budget
+        out[rows * n] = a[m - 1] * w[i] + beta[m - 1] - gamma * p[i]
+    out[-1] = -gamma
     return out
+
+
+def _threshold_table(prob: OccupancyProblem) -> np.ndarray:
+    """Row i: the actions ``_threshold_pricing`` prices in a state whose
+    threshold is action i, namely bid 1 (action 0), i - 1, i and i + 1
+    (clipped) and skip (action n - 1); row n: state m's forced bid-1."""
+    n = prob.n_actions
+    table = np.empty((n + 1, 5), dtype=int)
+    table[:n] = np.clip(np.arange(n)[:, None] + (-n, -1, 0, 1, n), 0, n - 1)
+    table[n] = prob.bid1_idx
+    return table
+
+
+def _market_curves(prob: OccupancyProblem) -> bool:
+    """Whether W and P are a market's curves on the multipliers, within
+    1e-12: P does not rise, W_{i+1} - W_i = mu_i (P_{i+1} - P_i) between
+    finite multipliers, and W_skip - W_i <= mu_i (P_skip - P_i) for the
+    last finite one (below it when zero-price atoms convert).  Then W does
+    not rise either, and ``_threshold_pricing`` finds every state's best
+    column among its threshold candidates."""
+    dw = prob.w[1:] - prob.w[:-1]
+    dp = prob.p[1:] - prob.p[:-1]
+    gap = dw - prob.mus[:-1] * dp
+    return bool(dp.max() <= 1e-12 and gap[-1] <= 1e-12 and abs(gap[:-1]).max(initial=0.0) <= 1e-12)
+
+
+def _threshold_pricing(
+    prob: OccupancyProblem, y: np.ndarray, phase1: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """(actions, d): the actions each state prices, a row per state, and
+    their reduced costs, the slack's last, each the very float
+    ``_reduced_costs`` gives.  They hold every state's best column.
+
+    On a market's curves (``_market_curves``) consecutive multipliers
+    mu_i < mu_{i+1} differ by the atoms of ratio mu_i, so W_{i+1} - W_i =
+    mu_i (P_{i+1} - P_i), and state l's reduced cost a W_i + beta - gamma P_i
+    rises with i while mu_i < gamma / a and falls after.  With a > 0 and
+    gamma >= 0 the best column is therefore the first multiplier with
+    mu >= gamma / a (the bid rule min(1, c / mu) applied to the duals),
+    otherwise bid 1 or skip.  Each state prices that threshold, its two
+    neighbours, for round-off in gamma / a, and both endpoints
+    (``_threshold_table``).  On other curves every state prices every
+    action."""
+    m, n = prob.m, prob.n_actions
+    a, beta, gamma = _pricing_terms(prob, y, phase1)
+    if not prob.market_curves:
+        actions = np.tile(np.arange(n), (m, 1))
+        if prob.bid1_at_m:
+            actions[-1] = prob.bid1_idx
+    else:
+        if 0.0 <= gamma < math.inf:
+            # with a at or below the floor (a <= 0 included) the threshold
+            # is action 0 or lies past every finite multiplier, rows that
+            # hold both endpoints; the floor keeps gamma / a finite
+            at = prob.mus.searchsorted(gamma / np.maximum(a, max(gamma, 1.0) * 2.0**-1000))
+        else:  # every state's best column is an endpoint
+            at = np.zeros(m, dtype=int)
+        if prob.bid1_at_m:
+            at[-1] = n
+        actions = prob.threshold_table.take(at, axis=0)
+    d = np.empty(actions.size + 1)
+    D = d[:-1].reshape(actions.shape)
+    np.multiply(a[:, None], prob.w.take(actions), out=D)
+    D += beta[:, None]
+    D -= gamma * prob.p.take(actions)
+    d[-1] = -gamma
+    return actions, d
 
 
 def _objective_coeffs(prob: OccupancyProblem, basis: Sequence[int]) -> np.ndarray:
@@ -437,10 +534,19 @@ def _objective_coeff_one(prob: OccupancyProblem, col: int) -> float:
 class OccupancySolution:
     objective: float
     budget_used: float
-    q: dict[tuple[int, int], float]   # (state, action index) -> mass
     basis: tuple[int, ...]
     x_b: np.ndarray = field(repr=False, compare=False)  # basic values, clipped at 0
+    # (states, actions, masses) of the structural basic columns with mass
+    kept: tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False, compare=False)
     start: int = -1  # index of the caller's start the simplex began from; -1: none
+
+    @cached_property
+    def q(self) -> dict[tuple[int, int], float]:
+        """(state, action index) -> mass, built on first use."""
+        q: dict[tuple[int, int], float] = {}
+        for s, i, v in zip(*(part.tolist() for part in self.kept)):
+            q[s, i] = q.get((s, i), 0.0) + v
+        return q
 
 
 def _solution_from_basis(
@@ -448,18 +554,11 @@ def _solution_from_basis(
 ) -> OccupancySolution:
     ids = np.asarray(basis, dtype=int)
     keep = (ids != prob.slack_id) & (x_b > 0.0)
-    q: dict[tuple[int, int], float] = {}
-    obj = 0.0
-    pay = 0.0
-    if np.any(keep):
-        states, actions = prob.decode(ids[keep])
-        vals = x_b[keep]
-        obj = float(np.sum(prob.objective(states, actions) * vals))
-        pay = float(np.sum(prob.p[actions] * vals))
-        for s, i, v in zip(states.tolist(), actions.tolist(), vals.tolist()):
-            key = (s, i)
-            q[key] = q.get(key, 0.0) + v
-    return OccupancySolution(float(obj), float(pay), q, tuple(basis), x_b, start)
+    states, actions = prob.decode(ids[keep])
+    vals = x_b[keep]
+    obj = float(np.sum(prob.objective(states, actions) * vals))
+    pay = float(np.sum(prob.p[actions] * vals))
+    return OccupancySolution(obj, pay, tuple(basis), x_b, (states, actions, vals), start)
 
 
 def _basic_values(
@@ -548,10 +647,11 @@ class ChainSplit:
         )
         return ChainSplit(n, flat, new_col)
 
-    def solve(
+    def primal(
         self, prob: OccupancyProblem, layout: BasisLayout, primal_tol: float
-    ) -> Optional[tuple[np.ndarray, np.ndarray]]:
-        """``_basis_solves`` by block elimination."""
+    ) -> Optional[tuple[np.ndarray, tuple]]:
+        """(x_B, factors for ``solve``) of B x_B = b; None when B is
+        singular, x_B is not finite or an entry of it lies below -primal_tol."""
         n = self.n
         buf = np.zeros(8 * n + 9)
         buf[self.flat] = layout.values(prob)
@@ -567,6 +667,17 @@ class ChainSplit:
         x_b = np.concatenate((-(g_solved @ x_z), x_z))[self.new_col]
         if not np.isfinite(x_b).all() or x_b.min() < -primal_tol:
             return None
+        return x_b, (ab, dp, g_solved, lu, piv)
+
+    def solve(
+        self, prob: OccupancyProblem, layout: BasisLayout, primal_tol: float
+    ) -> Optional[tuple[np.ndarray, np.ndarray]]:
+        """``_basis_solves`` by block elimination."""
+        primal = self.primal(prob, layout, primal_tol)
+        if primal is None:
+            return None
+        x_b, (ab, dp, g_solved, lu, piv) = primal
+        n = self.n
         c = np.zeros(n + 3)
         c[self.new_col[layout.struct]] = prob.objective(layout.states, layout.actions)
         y_d, _ = _getrs(lu, piv, c[n:] - g_solved.T @ c[:n], trans=1)
@@ -602,20 +713,19 @@ def verify_basis_values(
     layout: BasisLayout,
     primal_tol: float = 1e-9,
     dual_tol: float = 1e-9,
-    d_buf: Optional[np.ndarray] = None,
 ) -> Optional[np.ndarray]:
     """x_B of the basis `layout.ids` if it is primal feasible and within
     dual_tol of optimal for `prob`; None otherwise.  The primal and dual
     systems are solved by ``_basis_solves``: by elimination along the chain
     when the basis holds a column of every state 2..m-1, by one LU of the
-    refilled basis matrix otherwise."""
+    refilled basis matrix otherwise.  Each state's best column is priced
+    (``_threshold_pricing``); basic columns price at round-off of zero, so
+    they need no mask."""
     values = _basis_solves(prob, layout, primal_tol)
     if values is None:
         return None
     x_b, y = values
-    d = _reduced_costs(prob, y, phase1=False, out=d_buf)
-    d[layout.ids] = -np.inf
-    if d.max() > dual_tol:
+    if _threshold_pricing(prob, y, False)[1].max() > dual_tol:
         return None
     return np.maximum(x_b, 0.0)
 
@@ -694,6 +804,45 @@ def _ratio_test(
     return int(tie[np.argmax(direction[tie])])
 
 
+def _entering_column(
+    prob: OccupancyProblem, y: np.ndarray, basic: np.ndarray, phase1: bool, bland: bool, tol: float
+) -> int:
+    """The nonbasic column (`basic` flags ids 0..slack_id) that enters at
+    duals y; -1 when none prices above tol.
+
+    Dantzig's rule takes the first maximum in id order.  Within a state the
+    reduced costs rise to the state's peak and fall after it, and a basic
+    column prices at round-off of zero, so a column above tol lies in a
+    state whose peak is nonbasic: the maximum over the columns
+    ``_threshold_pricing`` prices is the maximum over every column, and it
+    is taken at the first nonbasic column of its run of (W, P) twins, which
+    price alike.  Bland's rule takes the first id above tol, so it prices
+    every column."""
+    if bland:
+        d = _reduced_costs(prob, y, phase1)
+        d[basic] = -np.inf
+        above = np.flatnonzero(d > tol)
+        return int(above[0]) if above.size else -1
+    actions, d = _threshold_pricing(prob, y, phase1)
+    ids = np.empty(d.shape[0], dtype=int)
+    np.add(actions, prob.state_base[:, None], out=ids[:-1].reshape(actions.shape))
+    ids[-1] = prob.slack_id
+    d[basic[ids]] = -np.inf
+    k = int(np.argmax(d))
+    if d[k] <= tol:
+        return -1
+    j = int(ids[k])
+    if j < prob.slack_id - prob.bid1_at_m:  # not the slack or state m's forced bid-1
+        w, p = prob.w, prob.p
+        i = j % prob.n_actions
+        while i > 0 and w[i - 1] == w[i] and p[i - 1] == p[i]:
+            i -= 1
+            j -= 1
+        while basic[j]:
+            j += 1
+    return j
+
+
 def _simplex_loop(
     prob: OccupancyProblem, basis: list[int], start: Start, phase1: bool, tol: float
 ) -> np.ndarray:
@@ -702,11 +851,11 @@ def _simplex_loop(
 
     The basis inverse, from the start's LU, is maintained in product form
     with periodic refactorization by ``_inverse``.  Entering columns follow
-    Dantzig's rule (first maximum, deterministic) until a long streak of
-    degenerate steps, after which the loop switches to Bland's rule for
-    guaranteed termination.  In phase 1 artificial identity columns (ids
-    slack_id + 1 + row) may sit in the basis; they price at -1 and may only
-    leave.
+    Dantzig's rule (first maximum, deterministic; ``_entering_column``)
+    until a long streak of degenerate steps, after which the loop switches
+    to Bland's rule for guaranteed termination.  In phase 1 artificial
+    identity columns (ids slack_id + 1 + row) may sit in the basis; they
+    price at -1 and may only leave.
     """
     R = prob.n_rows
     b = prob.b
@@ -724,20 +873,12 @@ def _simplex_loop(
         cb = np.where(basis_arr >= art_base, -1.0, 0.0)
     else:
         cb = _objective_coeffs(prob, basis)
-    d_buf = np.empty(prob.n_cols + 1)
+    basic = np.zeros(prob.n_cols + 1, dtype=bool)
+    basic[basis_arr[basis_arr < art_base]] = True
     for _ in range(_MAX_PIVOTS):
-        y = b_inv.T @ cb
-        d = _reduced_costs(prob, y, phase1=phase1, out=d_buf)
-        d[basis_arr[basis_arr <= prob.slack_id]] = -np.inf
-        if bland:
-            cand = np.nonzero(d > tol)[0]
-            if cand.size == 0:
-                break
-            j = int(cand[0])
-        else:
-            j = int(np.argmax(d))
-            if d[j] <= tol:
-                break
+        j = _entering_column(prob, b_inv.T @ cb, basic, phase1, bland, tol)
+        if j < 0:
+            break
         a_j = _column(prob, j, art_base)
         direction = b_inv @ a_j
         if float(np.max(np.abs(B @ direction - a_j))) > 1e-8:
@@ -774,6 +915,9 @@ def _simplex_loop(
             stall = 0
         x_b -= theta * direction
         x_b[leave] = theta
+        if basis_arr[leave] < art_base:
+            basic[basis_arr[leave]] = False
+        basic[j] = True
         basis_arr[leave] = j
         basis[leave] = j
         cb[leave] = 0.0 if phase1 else _objective_coeff_one(prob, j)
@@ -924,12 +1068,16 @@ def _dual_phase(
         cb[leave] = c_n[k]
         B[:, leave] = a_j
         _update_inverse(b_inv, direction, leave)
-        for slot, offset in ((leave, lo[j % n]), (R + leave, hi[j % n])):
+        # the entering column's neighbours share its state
+        state, action = divmod(j, n)
+        for slot, offset in ((leave, lo[action]), (R + leave, hi[action])):
             live[slot] = j < paired and offset != 0
             if live[slot]:
                 ids[slot] = j + offset
-                N[:, slot] = _column(prob, j + offset)
-                c_n[slot] = _objective_coeff_one(prob, j + offset)
+                column = N[:, slot]
+                column[:] = 0.0
+                _write_column(prob, column, state + 1, action + offset)
+                c_n[slot] = prob.r[state] * prob.w[action + offset]
     return None
 
 
@@ -970,35 +1118,56 @@ def _phase1(prob: OccupancyProblem, tol: float) -> tuple[list[int], Start]:
 
 
 def solve_occupancy_problem(
-    prob: OccupancyProblem, tol: float = 1e-9, starts: Sequence[Sequence[int]] = ()
+    prob: OccupancyProblem,
+    tol: float = 1e-9,
+    starts: Sequence[BasisLayout | Sequence[int]] = (),
 ) -> OccupancySolution:
     """Solve from the first primal-feasible basis among `starts` (in order);
     when none is, from `starts[0]` made primal feasible by ``_dual_phase``;
     then from the first primal-feasible crash vertex; from a phase-1 basis
     when none of these works.
 
-    A start of the wrong length, with an id out of range or singular is
-    skipped, and so is a primal-infeasible one other than `starts[0]` (the
-    most recent basis, for the learner).  One dual restart bounds the cost
-    of a miss.  The solution's `start` is the index in `starts` of the basis
-    it began from by either route, -1 for a crash vertex or phase 1.
+    A start is a ``basis_layout`` or a sequence of ids.  A sequence of the
+    wrong length or with an id out of range is skipped.  A chain-covered
+    start that its ``ChainSplit`` finds singular or primal infeasible is
+    skipped without building its matrix; any other start is filled from its
+    layout and factored, and skipped when singular.  `starts[0]` (the most
+    recent basis, for the learner) is factored for the dual restart when it
+    is nonsingular and no start is primal feasible.  One dual restart bounds
+    the cost of a miss.  The solution's `start` is the index in `starts` of
+    the basis it began from by either route, -1 for a crash vertex or
+    phase 1.
     """
     basis, start, used = None, None, -1
-    for i, candidate in enumerate(starts):
-        checked = _primal_values(prob, _basis_matrix(prob, candidate), np.inf) if _valid_ids(
-            prob, candidate) else None
-        if checked is None:  # invalid or singular; any x_B passes a tolerance of inf
+    first = None  # starts[0]'s layout while it may serve the dual restart
+    for i, layout in enumerate(starts):
+        if not isinstance(layout, BasisLayout):
+            if not _valid_ids(prob, layout):
+                continue
+            layout = basis_layout(prob, layout)
+        if i == 0:
+            first = layout
+        split = layout.chain
+        if split is not None and split.primal(prob, layout, tol) is None:
+            continue
+        checked = _primal_values(prob, _layout_matrix(prob, layout), np.inf)
+        if checked is None:  # singular; any x_B passes a tolerance of inf
+            if i == 0:
+                first = None
             continue
         if checked[1].min() >= -tol:
-            basis, start, used = list(candidate), checked, i  # pivoted in place
+            basis, start, used = layout.ids.tolist(), checked, i  # pivoted in place
             break
         if i == 0:
             start = checked  # nonsingular but primal infeasible: the dual restart's
-    if basis is None and start is not None:
-        candidate = list(starts[0])
-        start = _dual_phase(prob, candidate, start, tol)
+    if basis is None and first is not None:
+        if start is None:  # screened out along the chain: factor it now
+            start = _primal_values(prob, _layout_matrix(prob, first), np.inf)
         if start is not None:
-            basis, used = candidate, 0
+            candidate = first.ids.tolist()
+            start = _dual_phase(prob, candidate, start, tol)
+            if start is not None:
+                basis, used = candidate, 0
     if basis is None:
         for candidate in _crash_bases(prob):
             start = _primal_values(prob, _basis_matrix(prob, candidate), tol)

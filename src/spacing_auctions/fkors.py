@@ -179,19 +179,17 @@ class _EmpiricalCurves:
         self._stale = True
 
     def _rebuild(self) -> None:
-        pairs = sorted(self.counts.keys())
-        p = np.array([pc[0] for pc in pairs])
-        c = np.array([pc[1] for pc in pairs])
-        order, ratio = ratio_order(p, c)
-        self._pairs = [pairs[i] for i in order]
-        self._p = p[order]
-        self._c = c[order]
+        pairs = list(self.counts)
+        pc = np.array(pairs)
+        order, ratio = ratio_order(pc[:, 0], pc[:, 1])
+        self._p = pc[order, 0]
+        self._c = pc[order, 1]
         self._cands = candidate_set(self._p, self._c)
         self._positions = curve_positions(ratio, self._cands)
-        self._slot = {pc: i for i, pc in enumerate(self._pairs)}
-        self._count_vec = np.fromiter(
-            (self.counts[pc] for pc in self._pairs), dtype=float, count=len(self._pairs)
-        )
+        slot = np.empty_like(order)
+        slot[order] = np.arange(order.shape[0])
+        self._slot = dict(zip(pairs, slot.tolist()))
+        self._count_vec = np.fromiter(self.counts.values(), dtype=float, count=len(pairs))[order]
         self._stale = False
         self.version += 1
 
@@ -238,9 +236,9 @@ class _EpochPlanner:
     program is built once per candidate set, and each epoch swaps in its W
     and P; when the set changes, every cached basis (``_CachedBasis``) is
     re-keyed onto it.  Verification builds the basis costs itself.  A miss
-    re-solves warm, from the cached bases whose multipliers are all still
-    candidates: a primal-feasible one, or the most recent one through the
-    dual-simplex phase.
+    re-solves warm from the layouts of the cached bases whose multipliers
+    are all still candidates: a primal-feasible one, or the most recent one
+    through the dual-simplex phase.
     """
 
     _CACHE = 6
@@ -254,10 +252,9 @@ class _EpochPlanner:
         self.reuses = 0
         self._r_vec = reward_vector(reward, cfg.m)
         # the program of the candidate set `_version`, into which epochs swap
-        # W and P, and a reduced-cost buffer of its width
+        # W and P
         self._prob: Optional[OccupancyProblem] = None
         self._version = -1
-        self._d_buf = np.empty(0)
 
     def plan(
         self, curves: tuple[np.ndarray, np.ndarray, np.ndarray], version: int
@@ -271,7 +268,6 @@ class _EpochPlanner:
                 r_vec=self._r_vec,
             )
             self._version = version
-            self._d_buf = np.empty(self._prob.n_cols + 1)
             for entry in self.cache:
                 entry.remap(self._prob)
         prob = self._prob.with_curves(w, p)
@@ -281,11 +277,7 @@ class _EpochPlanner:
                 if entry.layout is None:
                     continue
                 x_b = verify_basis_values(
-                    prob,
-                    entry.layout,
-                    primal_tol=1e-7,
-                    dual_tol=self.cfg.reuse_tolerance,
-                    d_buf=self._d_buf,
+                    prob, entry.layout, primal_tol=1e-7, dual_tol=self.cfg.reuse_tolerance
                 )
                 if x_b is not None:
                     self.reuses += 1
@@ -294,7 +286,7 @@ class _EpochPlanner:
         if x_b is None:
             # with reuse off, every epoch solves from the crash vertices
             starts = (
-                [e.layout.ids.tolist() for e in self.cache if e.layout is not None]
+                [e.layout for e in self.cache if e.layout is not None]
                 if self.cfg.reuse_tolerance > 0.0 else []
             )
             sol = solve_occupancy_problem(prob, starts=starts)

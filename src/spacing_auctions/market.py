@@ -95,11 +95,11 @@ class MarketDistribution:
 
 
 def ratio_order(p: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stable order sorting atoms by bid-through ratio c/p (inf for p = 0),
-    and the ratios in that order."""
+    """Order sorting atoms by bid-through ratio c/p (inf for p = 0), then by
+    p, then by c, and the ratios in that order."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratio = np.where(p > 0.0, c / p, math.inf)
-    order = np.argsort(ratio, kind="stable")
+    order = np.lexsort((c, p, ratio))
     return order, ratio[order]
 
 

@@ -25,10 +25,12 @@ from spacing_auctions.benchmark import (
     _column,
     _crash_bases,
     _dual_phase,
+    _entering_column,
     _neighbour_offsets,
     _objective_coeffs,
     _ratio_test,
     _reduced_costs,
+    _threshold_pricing,
     basis_layout,
     verify_basis_values,
     CycleStats,
@@ -531,6 +533,173 @@ def test_dual_phase_enters_the_slack_when_the_budget_loosens():
     assert _dual_phase(
         prob, basis, benchmark._primal_values(prob, _basis_matrix(prob, basis), np.inf), 1e-9)
     assert basis == [0, prob.slack_id]
+
+
+# ---------------------------------------------------------------------------
+# threshold pricing
+
+
+def assert_threshold_pricing_matches_dense(prob, y, phase1):
+    """Each priced entry is the dense pass's float for its column, and the
+    priced maximum is the dense maximum over every column; returns how many
+    actions each state priced."""
+    actions, d = _threshold_pricing(prob, y, phase1)
+    dense = _reduced_costs(prob, y, phase1)
+    ids = actions + prob.state_base[:, None]
+    assert d[:-1].tobytes() == dense[ids.ravel()].tobytes()
+    assert d[-1] == dense[-1] == -y[-1]
+    assert d.max() == dense.max()
+    return actions.shape[1]
+
+
+GRID = (0.0, 0.1, 0.2, 0.25, 0.4, 0.5, 0.8, 1.0)
+
+
+@st.composite
+def pricing_cases(draw):
+    """A market on a coarse grid (tied ratios, p = 0 and c = 0 atoms, the
+    free-conversion candidate, twins), a program on it with or without
+    forced bid-1, and duals: gamma = 0 and gamma < 0 come up, and so do
+    states with a <= 0."""
+    atoms = draw(st.lists(
+        st.tuples(st.sampled_from(GRID), st.sampled_from(GRID), st.integers(1, 4)),
+        min_size=1, max_size=6))
+    total = sum(weight for *_, weight in atoms)
+    market = MarketDistribution.from_tuples([(p, c, weight / total) for p, c, weight in atoms])
+    actions = candidate_multipliers(market)
+    prob = occupancy_problem(
+        (actions, *win_pay_curve(market, actions)), sqrt_reward(), draw(st.integers(1, 5)), 0.3,
+        draw(st.booleans()))
+    entry = st.one_of(st.sampled_from((0.0, 1.0, -1.0, 0.5)), st.floats(-4.0, 4.0))
+    y = np.array(draw(st.lists(entry, min_size=prob.n_rows, max_size=prob.n_rows)))
+    return prob, y, draw(st.booleans())
+
+
+@settings(max_examples=400, deadline=None)
+@given(pricing_cases())
+def test_threshold_pricing_matches_dense_pricing(case):
+    prob, y, phase1 = case
+    assert prob.market_curves
+    assert assert_threshold_pricing_matches_dense(prob, y, phase1) == 5
+
+
+@pytest.mark.parametrize("bid1_at_m", [False, True])
+@pytest.mark.parametrize("atoms", [
+    # tied ratios; p = 0 and c = 0 atoms with the free-conversion candidate;
+    # one ratio for every atom; free conversions alone (candidates 0, inf)
+    [(0.2, 0.4, 0.2), (0.3, 0.6, 0.2), (0.1, 0.2, 0.1), (0.5, 0.5, 0.2), (0.25, 0.25, 0.3)],
+    [(0.0, 0.0, 0.2), (0.0, 0.7, 0.1), (0.4, 0.0, 0.2), (0.6, 0.9, 0.3), (0.3, 0.3, 0.2)],
+    [(0.1, 0.2, 0.25), (0.2, 0.4, 0.25), (0.3, 0.6, 0.25), (0.45, 0.9, 0.25)],
+    [(0.0, 0.5, 0.5), (0.0, 0.9, 0.5)],
+])
+def test_threshold_pricing_adversarial_duals(atoms, bid1_at_m):
+    market = MarketDistribution.from_tuples(atoms)
+    rng = SplitMix64(len(atoms))
+    for m in (1, 2, 4, 9):
+        prob = problem_on(market, m, bid1_at_m)
+        R = prob.n_rows
+        seen = {"a<=0": 0, "gamma=0": 0, "gamma<0": 0, "threshold": 0}
+        for _ in range(40):
+            y = np.array([4.0 * rng.uniform() - 2.0 for _ in range(R)])
+            if m >= 2 and rng.uniform() < 0.3:
+                y[0] = -10.0  # a = r + y0 - yb <= 0 in most states
+            y[-1] = (0.0, -0.3, y[-1], abs(y[-1]))[int(4 * rng.uniform())]
+            for phase1 in (False, True):
+                a = (np.zeros(m) if phase1 else prob.r) + (y[0] if m >= 2 else 0.0)
+                a = a - np.append(y, 0.0)[prob._next_sel]
+                seen["a<=0"] += bool((a <= 0.0).any())
+                seen["gamma=0"] += y[-1] == 0.0
+                seen["gamma<0"] += y[-1] < 0.0
+                seen["threshold"] += bool(y[-1] > 0.0 and (a > 0.0).any())
+                assert_threshold_pricing_matches_dense(prob, y, phase1)
+        assert min(seen.values()) > 0, seen
+
+
+@pytest.mark.parametrize("bid1_at_m", [False, True])
+def test_entering_column_resolves_twins_within_a_state_only(bid1_at_m):
+    # mu = 0 and the smallest ratio are twins.  At phase-1 duals that price
+    # the columns at 5 P_i and the slack at 5, the slack enters; at duals
+    # that price column (l, i) at r(l) W_i + 1, state m's bid 1 enters, and
+    # once it is basic its twin (or, under forced bid-1, state m - 1's)
+    prob = problem_on(atoms_market((0.2, 0.4, 0.5), (0.6, 0.9, 0.5)), 3, bid1_at_m)
+    assert (prob.w[0], prob.p[0]) == (prob.w[1], prob.p[1]) and prob.p[0] < 1.0
+    n = prob.n_actions
+    y = np.zeros(prob.n_rows)
+    y[-1] = -5.0
+    basic = np.zeros(prob.n_cols + 1, dtype=bool)
+    assert _entering_column(prob, y, basic, True, False, 1e-9) == prob.slack_id
+    y[-1], y[-2] = 0.0, -1.0
+    assert _entering_column(prob, y, basic, False, False, 1e-9) == 2 * n
+    basic[2 * n] = True
+    assert _entering_column(prob, y, basic, False, False, 1e-9) == (n if bid1_at_m else 2 * n + 1)
+
+
+def test_entering_column_takes_the_first_of_a_run_of_twins():
+    # curves that keep W_{i+1} - W_i = mu_i (P_{i+1} - P_i) with a run of
+    # three (W, P) twins, actions 1..3.  At a = 1 and y_budget = 0.5 the
+    # threshold is action 3, the run holds the peak, and the dense pass's
+    # first maximum is action 1, which the threshold does not price
+    mus = np.array([0.0, 0.2, 0.4, 0.6, 0.8, np.inf])
+    w = np.array([1.0, 1.0, 1.0, 1.0, 0.64, 0.0])
+    p = np.array([1.0, 0.8, 0.8, 0.8, 0.2, 0.0])
+    prob = occupancy_problem((mus, w, p), sqrt_reward(), 1, 0.3, False)
+    assert prob.market_curves
+    y = np.array([0.0, 0.5])
+    actions, _ = _threshold_pricing(prob, y, False)
+    assert 1 not in actions
+    basic = np.zeros(prob.n_cols + 1, dtype=bool)
+    assert _entering_column(prob, y, basic, False, False, 1e-9) == 1
+    basic[1] = True
+    assert _entering_column(prob, y, basic, False, False, 1e-9) == 2
+
+
+def problem_on(market, m, bid1_at_m, rho=0.3):
+    actions = candidate_multipliers(market)
+    return occupancy_problem(
+        (actions, *win_pay_curve(market, actions)), sqrt_reward(), m, rho, bid1_at_m)
+
+
+def test_threshold_pricing_prices_every_column_off_a_market():
+    # W and P drawn apart from any market break W_{i+1} - W_i = mu_i
+    # (P_{i+1} - P_i), on which the thresholds rest
+    rng = SplitMix64(71)
+    off = 0
+    for _ in range(30):
+        prob, sol, reward = random_problem(rng)
+        assert prob.market_curves
+        n = prob.n_actions
+        noise = np.array([rng.uniform() - 0.5 for _ in range(2 * n)])
+        drifted = with_curves(
+            prob, reward, np.clip(prob.w * (1 + 0.05 * noise[:n]), 0.0, 1.0),
+            prob.p * (1 + 0.05 * noise[n:]))
+        y = np.array([rng.uniform() - 0.5 for _ in range(prob.n_rows)])
+        if not drifted.market_curves:
+            assert assert_threshold_pricing_matches_dense(drifted, y, False) == n
+            off += 1
+        # with_curves drops the verdict of the curves it replaces
+        assert prob.with_curves(drifted.w, drifted.p).market_curves == drifted.market_curves
+    assert off >= 20
+    # the identity holds up to the last finite multiplier, whose W / P = 1/3
+    # lies below mu_1 = 1; at a = -1 and y_budget = -0.5, state 1's best
+    # column is action 2, where neither endpoint lies
+    mus = np.array([0.0, 1.0, 2.0, np.inf])
+    w, p = np.array([0.5, 0.5, 0.2, 0.0]), np.array([1.0, 0.9, 0.6, 0.0])
+    prob = occupancy_problem((mus, w, p), sqrt_reward(), 2, 0.3, False)
+    assert not prob.market_curves
+    y = np.array([-2.0, 0.0, -0.5])
+    assert np.argmax(_reduced_costs(prob, y, False)) == 2
+    assert assert_threshold_pricing_matches_dense(prob, y, False) == prob.n_actions
+    # the identity holds at every step, but P rises from action 2 to 3; at
+    # a = sqrt(2) and y_budget = 0.05 the threshold is action 1, and state
+    # 2's best column is action 3
+    mus = np.array([0.0, 0.1, 0.2, 0.3, 0.4, np.inf])
+    p = np.array([0.5, 0.4, 0.05, 0.3, 0.1, 0.0])
+    w = np.concatenate(([0.5], 0.5 + np.cumsum(mus[:-2] * np.diff(p[:-1])), [0.0]))
+    prob = occupancy_problem((mus, w, p), sqrt_reward(), 2, 0.3, False)
+    assert not prob.market_curves
+    y = np.array([0.0, 0.0, 0.05])
+    assert np.argmax(_reduced_costs(prob, y, False)) == prob.n_actions + 3
+    assert assert_threshold_pricing_matches_dense(prob, y, False) == prob.n_actions
 
 
 def random_bases(rng: SplitMix64, prob, sol):

@@ -13,7 +13,7 @@ import pytest
 from scipy.optimize import linprog
 from scipy.sparse import coo_matrix
 
-from spacing_auctions import fkors
+from spacing_auctions import benchmark, fkors
 from spacing_auctions.benchmark import (
     InfeasibleOccupancyError,
     _basic_values,
@@ -38,6 +38,8 @@ from spacing_auctions.market import (
     win_pay_curve,
 )
 from spacing_auctions.rewards import cap_linear_reward, sqrt_reward
+from spacing_auctions.rng import SplitMix64
+from test_benchmark import random_problem
 from test_fkors import wide_market
 
 # HiGHS works to primal and dual feasibility tolerances of 1e-7
@@ -94,9 +96,8 @@ def captured():
     solve = fkors.solve_occupancy_problem
 
     def recording(prob, tol=1e-9, starts=()):
-        starts = [list(s) for s in starts]
         sol = solve(prob, tol, starts)
-        out.append((prob, starts, sol))
+        out.append((prob, [layout.ids.tolist() for layout in starts], sol))
         return sol
 
     with pytest.MonkeyPatch.context() as mp:
@@ -115,6 +116,51 @@ def test_dual_restarts_on_captured_fkors_programs_match_highs(captured):
     for prob, sol in checked:
         assert sol.objective == pytest.approx(highs(prob), abs=HIGHS_TOL)
         assert verify_basis(prob, sol.basis) is not None
+
+
+@pytest.fixture
+def dense_entering(monkeypatch):
+    """Checks every entering choice of the primal loop against the dense
+    rule: the first maximum over every nonbasic column (Bland: the first id
+    above tol).  Yields the Bland flag of each choice."""
+    choices = []
+    entering = benchmark._entering_column
+
+    def checked(prob, y, basic, phase1, bland, tol):
+        j = entering(prob, y, basic, phase1, bland, tol)
+        d = _reduced_costs(prob, y, phase1)
+        d[basic] = -np.inf
+        above = np.flatnonzero(d > tol)
+        want = -1 if above.size == 0 else int(above[0]) if bland else int(np.argmax(d))
+        assert j == want
+        choices.append(bland)
+        return j
+
+    monkeypatch.setattr(benchmark, "_entering_column", checked)
+    return choices
+
+
+def test_entering_columns_are_the_dense_choice_on_captured_programs(captured, dense_entering):
+    for prob, starts, sol in captured:
+        assert solve_occupancy_problem(prob, starts=starts).basis == sol.basis
+    assert len(dense_entering) >= 400
+
+
+def test_entering_columns_are_the_dense_choice_on_random_markets(dense_entering):
+    # harness random markets, m in 3..14: solved from the crash vertices (or
+    # phase 1), then warm from that optimum after rho moves
+    rng = SplitMix64(83)
+    for _ in range(60):
+        prob, sol, reward = random_problem(rng)
+        for scale in (0.7, 1.3):
+            moved = occupancy_problem(
+                (prob.mus, prob.w, prob.p), reward, prob.m, min(1.0, prob.rho * scale),
+                prob.bid1_at_m)
+            try:
+                solve_occupancy_problem(moved, starts=[sol.basis])
+            except InfeasibleOccupancyError:
+                pass
+    assert len(dense_entering) >= 500
 
 
 def full_width_dual_phase(prob, basis, tol):

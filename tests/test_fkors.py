@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import spacing_auctions
-from spacing_auctions import fkors
+from spacing_auctions import benchmark, fkors
 from spacing_auctions.benchmark import (
     ChainSplit,
     _chain_basis,
@@ -23,6 +23,7 @@ from spacing_auctions.benchmark import (
 from spacing_auctions.fkors import (
     FkorsConfig,
     _CachedBasis,
+    _EmpiricalCurves,
     default_params,
     regret,
     run_fkors,
@@ -30,9 +31,12 @@ from spacing_auctions.fkors import (
 from spacing_auctions.market import (
     MarketDistribution,
     candidate_multipliers,
+    candidate_set,
+    curve_positions,
     discretize_uniform,
     market_from_config,
     mean_conversion,
+    suffix_sums,
     win_pay_curve,
 )
 from spacing_auctions.records import trace_lines
@@ -281,6 +285,42 @@ def test_quantization_bounds_support():
     assert rec.wins > 0  # still learns something
 
 
+def sorted_rule(counts):
+    """The empirical curves' arrays by the rule they were built with before:
+    pairs sorted, then stably by ratio c/p (inf for p = 0)."""
+    pairs = sorted(counts)
+    p = np.array([pc[0] for pc in pairs])
+    c = np.array([pc[1] for pc in pairs])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(p > 0.0, c / p, math.inf)
+    order = np.argsort(ratio, kind="stable")
+    p, c, ratio = p[order], c[order], ratio[order]
+    cands = candidate_set(p, c)
+    counts_vec = np.array([float(counts[pairs[i]]) for i in order])
+    return p, c, cands, curve_positions(ratio, cands), counts_vec
+
+
+def test_empirical_pairs_keep_the_sorted_order():
+    rng = SplitMix64(23)
+    grid = (0.0, 0.1, 0.2, 0.3, 0.4, 0.6, 0.8, 1.0)
+    for _ in range(60):
+        curves = _EmpiricalCurves(grid=0, threshold=10**9)
+        # tied ratios, p = 0 and c = 0 pairs, repeats
+        for _ in range(1 + int(rng.uniform() * 40)):
+            curves.add(grid[int(rng.uniform() * 8)], grid[int(rng.uniform() * 8)])
+        cands, w, p = curves.curves()
+        want = sorted_rule(curves.counts)
+        got = (curves._p, curves._c, curves._cands, curves._positions, curves._count_vec)
+        for g, x in zip(got, want):
+            assert g.dtype == x.dtype and g.tobytes() == x.tobytes()
+        # the slots follow the order, so new samples count where they belong
+        pair = next(iter(curves.counts))
+        curves.add(*pair)
+        assert curves._count_vec[curves._slot[pair]] == curves.counts[pair]
+        wc, wp = suffix_sums(curves._count_vec / curves.n, curves._p, curves._c)
+        assert np.array_equal(curves.curves()[1], wc[curves._positions])
+
+
 # ---------------------------------------------------------------------------
 # the planner's cache of bases across candidate-set changes
 
@@ -404,14 +444,15 @@ def test_warm_starts_count_cold_solves_begun_from_cached_bases():
     assert slow.config["warm_starts"] == 0
 
 
-def wide_market():
-    """The 500-atom market of the benchmark's wide_market workload."""
+def wide_market(n_atoms=500):
+    """The 500-atom market of the benchmark's wide_market workload, or as
+    many atoms drawn the same way."""
     rng = SplitMix64(5)
     atoms = []
-    for _ in range(500):
+    for _ in range(n_atoms):
         p = 0.02 + 0.98 * rng.uniform()
         c = 0.3 + 0.7 * rng.uniform()
-        atoms.append((p, c, 1.0 / 500))
+        atoms.append((p, c, 1.0 / n_atoms))
     return MarketDistribution.from_tuples(atoms)
 
 
@@ -462,6 +503,19 @@ def test_wide_market_miss_path_is_pinned():
         assert got == WIDE_PINNED[rec.seed]
 
 
+@pytest.mark.slow
+def test_large_market_is_pinned():
+    # 5,000 atoms, m = 124 and 1,200 epochs: the miss path at a width where
+    # pricing each state at its threshold replaces passes over every column
+    market = wide_market(5000)
+    cfg = FkorsConfig.from_defaults(0.2, 3000, mean_conversion(market), seed=1)
+    assert cfg.m == 124
+    rec = run_fkors(market, sqrt_reward(), cfg)
+    c = rec.config
+    got = (repr(rec.utility_true), c["cold_solves"], c["warm_starts"], c["reused_plans"])
+    assert got == ("1777.8725772914695", 473, 471, 727)
+
+
 def test_each_cached_basis_is_derived_once(monkeypatch):
     # a basis's layout entries and chain split depend only on its columns'
     # states and multipliers, so a change of the candidate set re-keys the
@@ -476,6 +530,32 @@ def test_each_cached_basis_is_derived_once(monkeypatch):
     cold = rec.config["cold_solves"]
     assert len(splits) <= cold
     assert len(layouts) == cold
+
+
+def test_miss_starts_are_screened_without_a_basis_matrix(monkeypatch):
+    # the planner hands its cached layouts to the solver, which screens
+    # chain-covered ones by their chain split; only the start it pivots
+    # from is filled and factored, and no start builds a layout anew
+    built, filled, solves = [], [], []
+    matrix, fill = benchmark._basis_matrix, benchmark._layout_matrix
+    solve = fkors.solve_occupancy_problem
+
+    def recording_solve(prob, starts=()):
+        before = len(built)
+        sol = solve(prob, starts=starts)
+        solves.append((len(starts), sol.start, len(built) - before))
+        return sol
+
+    monkeypatch.setattr(benchmark, "_basis_matrix", lambda *a: built.append(1) or matrix(*a))
+    monkeypatch.setattr(benchmark, "_layout_matrix", lambda *a: filled.append(1) or fill(*a))
+    monkeypatch.setattr(fkors, "solve_occupancy_problem", recording_solve)
+    (rec,) = wide_runs((1,))
+    assert len(solves) == rec.config["cold_solves"] == 47
+    assert sum(n_starts for n_starts, _, _ in solves) > 200
+    assert all(n == 0 for _, start, n in solves if start >= 0)
+    assert len(built) <= 2  # the first solve's crash vertices
+    # about one matrix per solve: the start it pivots from
+    assert len(filled) <= len(solves) + 2
 
 
 def test_wide_market_cleanup_after_dual_restart_passes_over_tiny_pivots():
