@@ -39,16 +39,20 @@ Two solution paths exist on purpose:
   dual step nearly always moves one state's threshold by one candidate, so
   a pivot takes a few products with an R x (2R + 1) matrix instead of
   passes over every column.  Failing that, the solve starts from the crash
-  vertices, and runs phase 1 only when none of them is feasible.  A start
-  may be a ``basis_layout``: a chain-covered one is screened by its chain
-  split, and only the start the simplex pivots from is filled and
-  factored.  The primal loop's entering column is the first maximum over
-  every nonbasic column, found by pricing each state at its threshold
+  vertices.  When none of them is feasible, phase 1 maximizes the budget
+  slack from the last of them, the all-skip chain, whose other basic
+  values are never negative; it needs no artificial column, and it proves
+  the program infeasible when the slack stays negative.  A start may be a
+  ``basis_layout``: a chain-covered one is screened by its chain split,
+  and only the start the simplex pivots from is filled and factored.  The
+  primal loop's entering column is the first maximum over every nonbasic
+  column, found by pricing each state at its threshold
   (``_threshold_pricing``): on a market's curves a state's reduced costs
   peak at the first multiplier with mu >= y_budget / a_l, the bid rule
   min(1, c / mu) applied to the duals.  So each solution is certified
-  optimal on the full program.  Each loop starts from the LU that checked
-  its basis.
+  optimal on the full program.  Bland's rule, the first nonbasic id above
+  the tolerance, prices every action of the one state that holds it.  Each
+  loop starts from the LU that checked its basis.
   ``verify_basis`` re-checks a stored basis against fresh coefficients,
   letting the learner keep its policy when it is still optimal; only when
   no stored basis certifies does the learner solve again, warm-started from
@@ -75,7 +79,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import accumulate
 from typing import Optional, Sequence
@@ -325,9 +329,8 @@ class BasisLayout:
         return ChainSplit.of(self)
 
 
-def basis_layout(prob: OccupancyProblem, basis: Sequence[int], art_base: int = -1) -> BasisLayout:
-    """Layout of the reduced system's columns for the given ids (slack and,
-    when art_base >= 0, artificial identity columns included).
+def basis_layout(prob: OccupancyProblem, basis: Sequence[int]) -> BasisLayout:
+    """Layout of the reduced system's columns for the given ids, slack included.
 
     A structural column (state l, action i) holds -W_i in the state-1 row
     (1 - W_i for l = 1), 1 in its own row, -(1 - W_i) in the row its no-win
@@ -336,9 +339,7 @@ def basis_layout(prob: OccupancyProblem, basis: Sequence[int], art_base: int = -
     R = prob.n_rows
     ids = np.asarray(basis, dtype=int)
     ks = np.arange(ids.shape[0])
-    art_mask = (ids > prob.slack_id) if art_base >= 0 else np.zeros(ids.shape[0], dtype=bool)
-    slack_mask = ids == prob.slack_id
-    struct = ~(art_mask | slack_mask)
+    struct = ids != prob.slack_id
     s_ks = ks[struct]
     states, actions = prob.decode(ids[struct])
     K = s_ks.shape[0]
@@ -359,18 +360,17 @@ def basis_layout(prob: OccupancyProblem, basis: Sequence[int], art_base: int = -
         nxt = prob.next_row[states]
         ok = nxt >= 0
         blocks.append((nxt[ok], s_ks[ok], w_src[ok], -ones[ok], ones[ok]))
-    identity = ks[art_mask | slack_mask]
-    id_rows = np.where(slack_mask[identity], R - 1, ids[identity] - art_base)
-    n_id = identity.shape[0]
-    blocks.append((id_rows, identity, np.full(n_id, 2 * K), np.ones(n_id), np.zeros(n_id)))
+    slacks = ks[~struct]
+    n_s = slacks.shape[0]
+    blocks.append((np.full(n_s, R - 1), slacks, np.full(n_s, 2 * K), np.ones(n_s), np.zeros(n_s)))
     rows, cols, src, const, coef = (np.concatenate(part) for part in zip(*blocks))
     return BasisLayout(R, ids, rows + cols * R, src, const, coef, struct, states, actions)
 
 
-def _basis_matrix(prob: OccupancyProblem, basis: Sequence[int], art_base: int = -1) -> np.ndarray:
+def _basis_matrix(prob: OccupancyProblem, basis: Sequence[int]) -> np.ndarray:
     """Columns of the reduced system for the given ids, filled from their
     ``basis_layout`` (C-ordered, as the simplex's products expect)."""
-    return _layout_matrix(prob, basis_layout(prob, basis, art_base))
+    return _layout_matrix(prob, basis_layout(prob, basis))
 
 
 def _layout_matrix(prob: OccupancyProblem, layout: BasisLayout) -> np.ndarray:
@@ -380,15 +380,11 @@ def _layout_matrix(prob: OccupancyProblem, layout: BasisLayout) -> np.ndarray:
     )
 
 
-def _column(prob: OccupancyProblem, col: int, art_base: int = -1) -> np.ndarray:
+def _column(prob: OccupancyProblem, col: int) -> np.ndarray:
     """Single constraint column (scalar fast path for the pivot loop)."""
-    R = prob.n_rows
-    a = np.zeros(R)
-    if art_base >= 0 and col > prob.slack_id:
-        a[col - art_base] = 1.0
-        return a
+    a = np.zeros(prob.n_rows)
     if col == prob.slack_id:
-        a[R - 1] = 1.0
+        a[-1] = 1.0
         return a
     _write_column(prob, a, *prob.decode_one(col))
     return a
@@ -429,24 +425,6 @@ def _pricing_terms(
     return r + y0 - yb, yb - ya - y_mass, float(y[-1])
 
 
-def _reduced_costs(prob: OccupancyProblem, y: np.ndarray, phase1: bool) -> np.ndarray:
-    """Reduced costs for every structural column plus the slack, in id order."""
-    m, n = prob.m, prob.n_actions
-    w, p = prob.w, prob.p
-    a, beta, gamma = _pricing_terms(prob, y, phase1)
-    rows = m if not prob.bid1_at_m else m - 1
-    out = np.empty(prob.n_cols + 1)
-    D = out[: rows * n].reshape(rows, n)
-    np.multiply(a[:rows, None], w[None, :], out=D)
-    D += beta[:rows, None]
-    D -= (gamma * p)[None, :]
-    if prob.bid1_at_m:
-        i = prob.bid1_idx
-        out[rows * n] = a[m - 1] * w[i] + beta[m - 1] - gamma * p[i]
-    out[-1] = -gamma
-    return out
-
-
 def _threshold_table(prob: OccupancyProblem) -> np.ndarray:
     """Row i: the actions ``_threshold_pricing`` prices in a state whose
     threshold is action i, namely bid 1 (action 0), i - 1, i and i + 1
@@ -475,8 +453,8 @@ def _threshold_pricing(
     prob: OccupancyProblem, y: np.ndarray, phase1: bool
 ) -> tuple[np.ndarray, np.ndarray]:
     """(actions, d): the actions each state prices, a row per state, and
-    their reduced costs, the slack's last, each the very float
-    ``_reduced_costs`` gives.  They hold every state's best column.
+    their reduced costs a W_i + beta - gamma P_i (``_pricing_terms``), the
+    slack's last.  They hold every state's best column.
 
     On a market's curves (``_market_curves``) consecutive multipliers
     mu_i < mu_{i+1} differ by the atoms of ratio mu_i, so W_{i+1} - W_i =
@@ -515,7 +493,7 @@ def _threshold_pricing(
 
 
 def _objective_coeffs(prob: OccupancyProblem, basis: Sequence[int]) -> np.ndarray:
-    """Objective coefficients of the basis ids (0 for slack and artificials)."""
+    """Objective coefficients of the basis ids (0 for the slack)."""
     ids = np.asarray(basis, dtype=int)
     out = np.zeros(ids.shape[0])
     struct = ids < prob.slack_id
@@ -816,18 +794,26 @@ def _entering_column(
     state whose peak is nonbasic: the maximum over the columns
     ``_threshold_pricing`` prices is the maximum over every column, and it
     is taken at the first nonbasic column of its run of (W, P) twins, which
-    price alike.  Bland's rule takes the first id above tol, so it prices
-    every column."""
-    if bland:
-        d = _reduced_costs(prob, y, phase1)
-        d[basic] = -np.inf
-        above = np.flatnonzero(d > tol)
-        return int(above[0]) if above.size else -1
+    price alike.  Bland's rule takes the first id above tol.  By the same
+    argument it lies in the first state whose priced nonbasic maximum is
+    above tol, so only that state prices every action; the slack, the
+    last id, enters when no state has such a column."""
     actions, d = _threshold_pricing(prob, y, phase1)
     ids = np.empty(d.shape[0], dtype=int)
     np.add(actions, prob.state_base[:, None], out=ids[:-1].reshape(actions.shape))
     ids[-1] = prob.slack_id
     d[basic[ids]] = -np.inf
+    if bland:
+        states = np.flatnonzero(d[:-1].reshape(actions.shape).max(axis=1) > tol)
+        if states.size == 0:
+            return prob.slack_id if d[-1] > tol else -1
+        l = int(states[0])
+        # state m's forced bid-1 is its only column
+        cols = actions[l, :1] if prob.bid1_at_m and l == prob.m - 1 else np.arange(prob.n_actions)
+        a, beta, gamma = _pricing_terms(prob, y, phase1)
+        ids = prob.state_base[l] + cols
+        above = (a[l] * prob.w[cols] + beta[l] - gamma * prob.p[cols] > tol) & ~basic[ids]
+        return int(ids[above][0])
     k = int(np.argmax(d))
     if d[k] <= tol:
         return -1
@@ -853,13 +839,11 @@ def _simplex_loop(
     with periodic refactorization by ``_inverse``.  Entering columns follow
     Dantzig's rule (first maximum, deterministic; ``_entering_column``)
     until a long streak of degenerate steps, after which the loop switches
-    to Bland's rule for guaranteed termination.  In phase 1 artificial
-    identity columns (ids slack_id + 1 + row) may sit in the basis; they
-    price at -1 and may only leave.
+    to Bland's rule for guaranteed termination.  Phase 1 maximizes the
+    slack: it costs 1 and every other column 0.
     """
     R = prob.n_rows
     b = prob.b
-    art_base = prob.slack_id + 1
     B, _, lu, piv = start
     b_inv = _lu_inverse(lu, piv)
     x_b = b_inv @ b
@@ -870,16 +854,16 @@ def _simplex_loop(
     # are maintained incrementally across pivots
     basis_arr = np.asarray(basis, dtype=int)
     if phase1:
-        cb = np.where(basis_arr >= art_base, -1.0, 0.0)
+        cb = (basis_arr == prob.slack_id).astype(float)
     else:
         cb = _objective_coeffs(prob, basis)
     basic = np.zeros(prob.n_cols + 1, dtype=bool)
-    basic[basis_arr[basis_arr < art_base]] = True
+    basic[basis_arr] = True
     for _ in range(_MAX_PIVOTS):
         j = _entering_column(prob, b_inv.T @ cb, basic, phase1, bland, tol)
         if j < 0:
             break
-        a_j = _column(prob, j, art_base)
+        a_j = _column(prob, j)
         direction = b_inv @ a_j
         if float(np.max(np.abs(B @ direction - a_j))) > 1e-8:
             # the product-form inverse drifted: refactorize and recompute
@@ -904,8 +888,6 @@ def _simplex_loop(
             if leave < 0:
                 raise RuntimeError("occupancy LP unbounded after refresh")
             piv = float(direction[leave])
-            if abs(piv) < 1e-9:
-                continue
         theta = max(float(x_b[leave] / piv), 0.0)
         if theta <= 1e-13:
             stall += 1
@@ -915,8 +897,7 @@ def _simplex_loop(
             stall = 0
         x_b -= theta * direction
         x_b[leave] = theta
-        if basis_arr[leave] < art_base:
-            basic[basis_arr[leave]] = False
+        basic[basis_arr[leave]] = False
         basic[j] = True
         basis_arr[leave] = j
         basis[leave] = j
@@ -1082,38 +1063,36 @@ def _dual_phase(
 
 
 def _phase1(prob: OccupancyProblem, tol: float) -> tuple[list[int], Start]:
-    """Feasible structural basis via artificial columns, and its start (the
-    all-skip point always exists, so phase 1 cannot fail on valid data)."""
-    n_rows = prob.n_rows
-    art_base = prob.slack_id + 1
-    basis = [prob.slack_id if i == n_rows - 1 else art_base + i for i in range(n_rows)]
-    start = _primal_values(prob, _basis_matrix(prob, basis, art_base), np.inf)  # B = I
-    x_b = _simplex_loop(prob, basis, start, phase1=True, tol=tol)
-    infeas = sum(v for c, v in zip(basis, x_b) if c >= art_base)
-    if infeas > 10 * tol * n_rows:
+    """A primal-feasible basis and its start, pivoted from the all-skip
+    chain; raises ``InfeasibleOccupancyError`` when `prob` has none.
+
+    The all-skip chain (skip in states 1..m-1, bid 1 in state m) is
+    nonsingular on every market: its flow block is unit bidiagonal, and the
+    Schur complement on the mass and budget rows has determinant
+    1 + (m - 1) W_bid1.  Its masses q_m = 1 / (1 + (m - 1) W_bid1) and
+    q_l = W_bid1 q_m are nonnegative, so only the slack, rho - P_bid1 q_m,
+    can be negative.  Phase 1 maximizes the slack from the chain on a twin
+    of `prob` whose budget is raised by the overspend, so that the chain is
+    a feasible start, as ``_simplex_loop`` assumes.  The slack never
+    leaves: a column entering at reduced cost d_j has the entry -d_j in its
+    row.  B^-1 e_budget is the slack's unit vector, so lowering the budget
+    back moves the slack alone: the final basis is feasible for `prob`
+    exactly when its slack is.
+    """
+    basis = _chain_basis(prob, prob.skip_idx)
+    B = _basis_matrix(prob, basis)
+    x_b, lu, piv = _basic_values(prob, B)
+    twin = replace(prob, rho=prob.rho - x_b[-1])
+    _simplex_loop(twin, basis, (B, x_b, lu, piv), phase1=True, tol=tol)
+    slack = float(_solve(B, prob.b)[basis.index(prob.slack_id)])
+    if slack < -tol:
         raise InfeasibleOccupancyError(
-            f"occupancy LP infeasible (residual {infeas:.3g}); "
+            f"occupancy LP infeasible (residual {-slack:.3g}); "
             "bid1_at_m forces more spending than rho allows at this m"
         )
-    for i, c in enumerate(list(basis)):
-        if c < art_base:
-            continue
-        # z = row i of B^-1; row entries over all columns via the structured
-        # pricing identity A^T z = -reduced_costs(z, phase1) with zero costs
-        B = _basis_matrix(prob, basis, art_base)
-        e = np.zeros(n_rows)
-        e[i] = 1.0
-        z = _solve(B.T, e)
-        row_vals = -_reduced_costs(prob, z, phase1=True)
-        row_vals[np.asarray([c2 for c2 in basis if c2 < art_base], dtype=int)] = 0.0
-        cand = np.nonzero(np.abs(row_vals) > 1e-7)[0]
-        if cand.size:
-            basis[i] = int(cand[0])
-        else:
-            raise RuntimeError("redundant row survived in reduced occupancy system")
-    start = _primal_values(prob, _basis_matrix(prob, basis), np.inf)
+    start = _primal_values(prob, B, tol)
     if start is None:
-        raise RuntimeError("phase 1 ended on a singular basis")
+        raise RuntimeError("phase 1 ended on a singular or primal-infeasible basis")
     return basis, start
 
 

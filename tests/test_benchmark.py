@@ -29,7 +29,6 @@ from spacing_auctions.benchmark import (
     _neighbour_offsets,
     _objective_coeffs,
     _ratio_test,
-    _reduced_costs,
     _threshold_pricing,
     basis_layout,
     verify_basis_values,
@@ -66,6 +65,7 @@ from spacing_auctions.harness import random_market as harness_random_market
 from spacing_auctions.rewards import cap_linear_reward, sqrt_reward, table_reward
 from spacing_auctions.rng import SplitMix64
 from spacing_auctions.simplex import solve_lp
+from dense_pricing import reduced_costs
 
 
 def atoms_market(*tuples):
@@ -544,7 +544,7 @@ def assert_threshold_pricing_matches_dense(prob, y, phase1):
     priced maximum is the dense maximum over every column; returns how many
     actions each state priced."""
     actions, d = _threshold_pricing(prob, y, phase1)
-    dense = _reduced_costs(prob, y, phase1)
+    dense = reduced_costs(prob, y, phase1)
     ids = actions + prob.state_base[:, None]
     assert d[:-1].tobytes() == dense[ids.ravel()].tobytes()
     assert d[-1] == dense[-1] == -y[-1]
@@ -634,6 +634,27 @@ def test_entering_column_resolves_twins_within_a_state_only(bid1_at_m):
     assert _entering_column(prob, y, basic, False, False, 1e-9) == (n if bid1_at_m else 2 * n + 1)
 
 
+@pytest.mark.parametrize("bid1_at_m", [False, True])
+def test_bland_entering_column_is_the_first_nonbasic_id_above_tol(bid1_at_m):
+    # at duals that price column (l, i) at r(l) W_i + 1 every column prices
+    # above tol: Bland's rule takes state 1's bid 1, then, with states 1 and
+    # 2 flagged basic, state m's bid 1 (under forced bid-1 its only column),
+    # then its twin, and the slack once it prices above tol
+    prob = problem_on(atoms_market((0.2, 0.4, 0.5), (0.6, 0.9, 0.5)), 3, bid1_at_m)
+    n = prob.n_actions
+    y = np.zeros(prob.n_rows)
+    y[-2] = -1.0
+    basic = np.zeros(prob.n_cols + 1, dtype=bool)
+    assert _entering_column(prob, y, basic, False, True, 1e-9) == 0
+    basic[: 2 * n] = True
+    assert _entering_column(prob, y, basic, False, True, 1e-9) == 2 * n
+    basic[2 * n] = True
+    assert _entering_column(prob, y, basic, False, True, 1e-9) == (-1 if bid1_at_m else 2 * n + 1)
+    basic[: prob.slack_id] = True
+    y[-1] = -5.0
+    assert _entering_column(prob, y, basic, False, True, 1e-9) == prob.slack_id
+
+
 def test_entering_column_takes_the_first_of_a_run_of_twins():
     # curves that keep W_{i+1} - W_i = mu_i (P_{i+1} - P_i) with a run of
     # three (W, P) twins, actions 1..3.  At a = 1 and y_budget = 0.5 the
@@ -687,7 +708,7 @@ def test_threshold_pricing_prices_every_column_off_a_market():
     prob = occupancy_problem((mus, w, p), sqrt_reward(), 2, 0.3, False)
     assert not prob.market_curves
     y = np.array([-2.0, 0.0, -0.5])
-    assert np.argmax(_reduced_costs(prob, y, False)) == 2
+    assert np.argmax(reduced_costs(prob, y, False)) == 2
     assert assert_threshold_pricing_matches_dense(prob, y, False) == prob.n_actions
     # the identity holds at every step, but P rises from action 2 to 3; at
     # a = sqrt(2) and y_budget = 0.05 the threshold is action 1, and state
@@ -698,7 +719,7 @@ def test_threshold_pricing_prices_every_column_off_a_market():
     prob = occupancy_problem((mus, w, p), sqrt_reward(), 2, 0.3, False)
     assert not prob.market_curves
     y = np.array([0.0, 0.0, 0.05])
-    assert np.argmax(_reduced_costs(prob, y, False)) == prob.n_actions + 3
+    assert np.argmax(reduced_costs(prob, y, False)) == prob.n_actions + 3
     assert assert_threshold_pricing_matches_dense(prob, y, False) == prob.n_actions
 
 
@@ -715,14 +736,9 @@ def test_basis_layout_fills_the_basis_matrix_bitwise():
     rng = SplitMix64(31)
     for _ in range(40):
         prob, sol, reward = random_problem(rng)
-        art_base = prob.slack_id + 1
         for basis in random_bases(rng, prob, sol):
-            ids = list(basis)
-            ids[int(rng.uniform() * len(ids))] = art_base + int(rng.uniform() * prob.n_rows)
-            for b, art in ((basis, -1), (ids, art_base)):
-                ref = np.column_stack([_column(prob, c, art) for c in b])
-                B = _basis_matrix(prob, b, art)
-                assert B.tobytes() == ref.tobytes()
+            ref = np.column_stack([_column(prob, c) for c in basis])
+            assert _basis_matrix(prob, basis).tobytes() == ref.tobytes()
             # one layout refills the matrix for drifted coefficients
             layout = basis_layout(prob, basis)
             w2 = np.array([min(1.0, x * (1 + 0.1 * rng.uniform())) for x in prob.w])
@@ -743,7 +759,7 @@ def lu_factor_route(prob, ids, cb, primal_tol=1e-9, dual_tol=1e-9):
     y = sla.lu_solve((lu, piv), cb, trans=1, check_finite=False)
     if not np.all(np.isfinite(x_b)) or x_b.min() < -primal_tol:
         return None
-    d = _reduced_costs(prob, y, phase1=False)
+    d = reduced_costs(prob, y, phase1=False)
     d[np.asarray(ids)] = -np.inf
     if d.max() > dual_tol:
         return None

@@ -6,10 +6,16 @@ module's docstring, from its (W, P, r) curves alone, and solved by HiGHS
 for dual-restart solves on programs captured from a FKORS run on a 500-atom
 market, and on adversarial markets: tied ratios, p = 0 and c = 0 atoms, and
 rho at the edge of feasibility, where both solvers must report infeasible.
+So must cold solves, from the crash vertices or phase 1, on random and
+adversarial markets.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 from scipy.sparse import coo_matrix
 
@@ -18,19 +24,20 @@ from spacing_auctions.benchmark import (
     InfeasibleOccupancyError,
     _basic_values,
     _basis_matrix,
+    _chain_basis,
     _column,
     _crash_bases,
     _dual_phase,
     _inverse,
     _objective_coeffs,
     _primal_values,
-    _reduced_costs,
     _update_inverse,
     occupancy_problem,
     solve_occupancy_problem,
     verify_basis,
 )
 from spacing_auctions.fkors import FkorsConfig, run_fkors
+from spacing_auctions.harness import random_market as harness_random_market
 from spacing_auctions.market import (
     MarketDistribution,
     candidate_multipliers,
@@ -39,7 +46,8 @@ from spacing_auctions.market import (
 )
 from spacing_auctions.rewards import cap_linear_reward, sqrt_reward
 from spacing_auctions.rng import SplitMix64
-from test_benchmark import random_problem
+from dense_pricing import reduced_costs
+from test_benchmark import GRID, problem_on, random_problem
 from test_fkors import wide_market
 
 # HiGHS works to primal and dual feasibility tolerances of 1e-7
@@ -120,21 +128,23 @@ def test_dual_restarts_on_captured_fkors_programs_match_highs(captured):
 
 @pytest.fixture
 def dense_entering(monkeypatch):
-    """Checks every entering choice of the primal loop against the dense
-    rule: the first maximum over every nonbasic column (Bland: the first id
-    above tol).  Yields the Bland flag of each choice."""
+    """Checks, at every pivot of the primal loop, both entering rules
+    against the dense pass over every nonbasic column: Dantzig's choice is
+    the first maximum, Bland's the first id above tol.  The loop goes on
+    with the rule it is in.  Yields the Bland flag of each choice."""
     choices = []
     entering = benchmark._entering_column
 
     def checked(prob, y, basic, phase1, bland, tol):
-        j = entering(prob, y, basic, phase1, bland, tol)
-        d = _reduced_costs(prob, y, phase1)
+        d = reduced_costs(prob, y, phase1)
         d[basic] = -np.inf
         above = np.flatnonzero(d > tol)
-        want = -1 if above.size == 0 else int(above[0]) if bland else int(np.argmax(d))
-        assert j == want
+        dantzig = int(np.argmax(d)) if above.size else -1
+        first = int(above[0]) if above.size else -1
+        assert entering(prob, y, basic, phase1, False, tol) == dantzig
+        assert entering(prob, y, basic, phase1, True, tol) == first
         choices.append(bland)
-        return j
+        return first if bland else dantzig
 
     monkeypatch.setattr(benchmark, "_entering_column", checked)
     return choices
@@ -172,12 +182,12 @@ def full_width_dual_phase(prob, basis, tol):
     x_b = b_inv @ prob.b
     basic = np.zeros(prob.n_cols + 1, dtype=bool)
     basic[basis] = True
-    d = np.minimum(_reduced_costs(prob, b_inv.T @ _objective_coeffs(prob, basis), False), 0.0)
+    d = np.minimum(reduced_costs(prob, b_inv.T @ _objective_coeffs(prob, basis), False), 0.0)
     for _ in range(4 * prob.n_rows):
         leave = int(np.argmin(x_b))
         if x_b[leave] >= -tol:
             return _primal_values(prob, B, tol) is not None
-        row = -_reduced_costs(prob, b_inv[leave], phase1=True)
+        row = -reduced_costs(prob, b_inv[leave], phase1=True)
         cand = np.nonzero((row < -1e-9) & ~basic)[0]
         if cand.size == 0:
             return False
@@ -286,3 +296,85 @@ def test_dual_restarts_on_adversarial_markets_match_highs(name):
                 with pytest.raises(InfeasibleOccupancyError):
                     solve_occupancy_problem(prob, starts=[start])
     assert restarts >= 10
+
+
+def test_cold_solves_from_crash_vertices_and_phase1_match_highs(monkeypatch, dense_entering):
+    # a cold solve starts from the crash vertices, or from phase 1 when even
+    # the all-skip chain overspends.  Harness random markets, with m from 1
+    # to 14 and budgets down to 0.01, and the adversarial markets, forced
+    # bid-1 on and off.  Each program is also solved with its budget just
+    # below its least spending, where no basis is feasible (at 0 when that is
+    # 0), and between that and the all-skip chain's spending, where the
+    # chain overspends on a feasible program: free conversions
+    # (free_and_dead) or cheap ones make that gap under forced bid-1, and
+    # without it the least spending is 0
+    reached = []
+    phase1 = benchmark._phase1
+    monkeypatch.setattr(
+        benchmark, "_phase1", lambda prob, tol: reached.append(prob) or phase1(prob, tol))
+    rng = SplitMix64(41)
+    markets = [
+        (harness_random_market(rng), 1 + int(rng.uniform() * 14), 0.01 + 0.4 * rng.uniform())
+        for _ in range(100)
+    ]
+    markets += [
+        (MarketDistribution.from_tuples(ADVERSARIAL[name]), m, 0.2)
+        for name in sorted(ADVERSARIAL) for m in (1, 2, 4, 9)
+    ]
+    seen = {"crash": 0, "phase1": 0, "phase1, forced bid-1": 0, "infeasible": 0}
+    for k, (market, m, rho) in enumerate(markets):
+        actions = candidate_multipliers(market)
+        curves = (actions, *win_pay_curve(market, actions))
+        reward = sqrt_reward() if k % 2 else cap_linear_reward(3)
+        for bid1_at_m in (False, True):
+            loose = occupancy_problem(curves, reward, m, 1.0, bid1_at_m)
+            edge = highs(loose, objective=False)
+            i = loose.bid1_idx
+            chain = loose.p[i] / (1.0 + (m - 1) * loose.w[i])
+            rhos = [rho, edge + 0.05 * (chain - edge)] if chain > edge * (1 + 1e-3) else [rho]
+            rhos += [edge * (1 - 1e-3)] if edge > 1e-3 else [0.0]
+            for prob in (replace(loose, rho=r) for r in rhos):
+                want = highs(prob)
+                before = len(reached)
+                if want is None:
+                    with pytest.raises(InfeasibleOccupancyError):
+                        solve_occupancy_problem(prob)
+                    assert len(reached) == before + 1
+                    seen["infeasible"] += 1
+                    continue
+                sol = solve_occupancy_problem(prob)
+                assert sol.objective == pytest.approx(want, abs=HIGHS_TOL)
+                assert sol.budget_used <= prob.rho + 1e-9
+                if len(reached) == before:
+                    seen["crash"] += 1
+                else:
+                    seen["phase1, forced bid-1" if bid1_at_m else "phase1"] += 1
+    assert min(seen.values()) >= 50, seen
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(st.sampled_from(GRID), st.sampled_from(GRID), st.integers(1, 4)),
+             min_size=1, max_size=6),
+    st.sampled_from((1, 2, 3, 8, 40)),
+    st.sampled_from((0.0, 0.01, 0.3, 1.0)),
+    st.booleans(),
+)
+def test_all_skip_chain_is_nonsingular_and_only_its_slack_can_be_negative(
+        atoms, m, rho, bid1_at_m):
+    # skip in states 1..m-1 and bid 1 in state m: the flow block is unit
+    # bidiagonal and the (mass, budget) Schur complement has determinant
+    # 1 + (m - 1) W_bid1, so |det B| is that; q_m = 1 / (1 + (m - 1) W_bid1)
+    # and q_l = W_bid1 q_m, and the slack is rho - P_bid1 q_m
+    total = sum(weight for *_, weight in atoms)
+    market = MarketDistribution.from_tuples([(p, c, weight / total) for p, c, weight in atoms])
+    prob = problem_on(market, m, bid1_at_m, rho)
+    basis = _crash_bases(prob)[-1]
+    assert basis == _chain_basis(prob, prob.skip_idx)
+    x_b, lu, _ = _basic_values(prob, _basis_matrix(prob, basis))
+    w1, p1 = prob.w[prob.bid1_idx], prob.p[prob.bid1_idx]
+    q_m = 1.0 / (1.0 + (m - 1) * w1)
+    assert np.prod(np.abs(lu.diagonal())) == pytest.approx(1.0 + (m - 1) * w1, rel=1e-12)
+    np.testing.assert_allclose(
+        x_b, np.append(np.full(m - 1, w1 * q_m), [q_m, rho - p1 * q_m]), rtol=0.0, atol=1e-12)
+    assert x_b[:-1].min() >= -1e-15
