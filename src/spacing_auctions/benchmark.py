@@ -31,7 +31,7 @@ Two solution paths exist on purpose:
   pivot survives a refactorization).  Same algorithm, orders of magnitude
   faster on the wide LPs the online learner solves per epoch; the solution
   carries its basis and basic values x_B.  It starts from the first
-  primal-feasible basis among the caller's ``starts`` (the learner passes
+  primal-feasible basis among the caller's `starts` (the learner passes
   its recently optimal bases, most recent first).  When none is feasible, a
   dual-simplex phase pivots the first start, if nonsingular, back to
   primal feasibility.  It prices only each basic column's nearest
@@ -72,7 +72,7 @@ mass-independent part, each state's columns in ascending multiplier order,
 is a ``MixtureTemplate``; ``StateMixtures`` binds masses to it and
 normalizes a state's mixture (and its cumulative weights, for draws) on
 first use.  ``state_mixtures`` evaluates it for every state, for
-``policy_from_occupancy``; the learner keeps one template per cached basis.
+``solve_benchmark``; the learner keeps one template per cached basis.
 """
 
 from __future__ import annotations
@@ -104,6 +104,7 @@ Mixture = tuple[list[float], list[float]]  # (multipliers, weights) of one state
 # a checked basis as the simplex loops start from it: (B, C-ordered; x_B; getrf's LU, pivots)
 Start = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 _MAX_PIVOTS = 100_000
+_TOL = 1e-9  # the solver's primal feasibility and reduced-cost tolerance
 
 
 class InfeasibleOccupancyError(ValueError):
@@ -132,6 +133,7 @@ class OccupancyProblem:
     The problem owns the column encoding: column (l, i) has id
     (l - 1) * n_actions + i, except that under forced bid-1 state m has the
     single column (m - 1) * n_actions, for bid 1.  The slack comes last.
+    Everything after ``bid1_at_m`` is derived from the fields before it.
     """
 
     m: int
@@ -141,19 +143,23 @@ class OccupancyProblem:
     p: np.ndarray
     r: np.ndarray       # r(1..m)
     bid1_at_m: bool
-    bid1_idx: int
-    skip_idx: int
-    own_row: np.ndarray = field(repr=False, default=None)
-    next_row: np.ndarray = field(repr=False, default=None)
-
-    # derived layout constants, filled in __post_init__
-    n_actions: int = field(repr=False, default=0)
-    n_rows: int = field(repr=False, default=0)
-    n_cols: int = field(repr=False, default=0)
-    slack_id: int = field(repr=False, default=0)
-    b: np.ndarray = field(repr=False, default=None)
+    bid1_idx: int = field(init=False)  # the first mu = 0
+    skip_idx: int = field(init=False)  # the first mu = inf
+    own_row: np.ndarray = field(init=False, repr=False)
+    next_row: np.ndarray = field(init=False, repr=False)
+    n_actions: int = field(init=False, repr=False)
+    n_rows: int = field(init=False, repr=False)
+    n_cols: int = field(init=False, repr=False)
+    slack_id: int = field(init=False, repr=False)
+    b: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        zero = np.nonzero(self.mus == 0.0)[0]
+        skip = np.nonzero(np.isinf(self.mus))[0]
+        if zero.size == 0 or skip.size == 0:
+            raise ValueError("action set must include mu = 0 and mu = inf")
+        object.__setattr__(self, "bid1_idx", int(zero[0]))
+        object.__setattr__(self, "skip_idx", int(skip[0]))
         m = self.m
         own = np.full(m + 1, -1, dtype=int)
         nxt = np.full(m + 1, -1, dtype=int)
@@ -256,21 +262,14 @@ def occupancy_problem(
         raise ValueError(f"state count m must be >= 1, got {m}")
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"budget per round rho must lie in [0, 1], got {rho}")
-    mus = np.asarray(mus, dtype=float)
-    zero = np.nonzero(mus == 0.0)[0]
-    skip = np.nonzero(np.isinf(mus))[0]
-    if zero.size == 0 or skip.size == 0:
-        raise ValueError("action set must include mu = 0 and mu = inf")
     return OccupancyProblem(
         m=m,
         rho=float(rho),
-        mus=mus,
+        mus=np.asarray(mus, dtype=float),
         w=np.asarray(w, dtype=float),
         p=np.asarray(p, dtype=float),
         r=reward_vector(reward, m) if r_vec is None else r_vec,
         bid1_at_m=bid1_at_m,
-        bid1_idx=int(zero[0]),
-        skip_idx=int(skip[0]),
     )
 
 
@@ -518,14 +517,6 @@ class OccupancySolution:
     kept: tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False, compare=False)
     start: int = -1  # index of the caller's start the simplex began from; -1: none
 
-    @cached_property
-    def q(self) -> dict[tuple[int, int], float]:
-        """(state, action index) -> mass, built on first use."""
-        q: dict[tuple[int, int], float] = {}
-        for s, i, v in zip(*(part.tolist() for part in self.kept)):
-            q[s, i] = q.get((s, i), 0.0) + v
-        return q
-
 
 def _solution_from_basis(
     prob: OccupancyProblem, basis: Sequence[int], x_b: np.ndarray, start: int = -1
@@ -741,8 +732,9 @@ def _crash_bases(prob: OccupancyProblem) -> list[list[int]]:
     """Starting vertices to try, best first.
 
     The constant chain of the most valuable budget-feasible action starts
-    near typical optima; the all-skip chain is feasible whenever forcing
-    bid-1 in state m fits the budget at all.
+    near typical optima.  The all-skip chain comes last: it is nonsingular
+    on every market, but it can overspend the budget on a feasible program,
+    and then ``_phase1`` starts from it.
     """
     bases: list[list[int]] = []
     m, w, p = prob.m, prob.w, prob.p
@@ -877,7 +869,8 @@ def _simplex_loop(
         piv = float(direction[leave])
         if abs(piv) < 1e-7:
             # numerically unreliable pivot: refresh the factorization and
-            # retry from exact data; if it persists, skip this column once
+            # retry from exact data; if the refreshed entry is still tiny,
+            # price again with the refreshed inverse
             b_inv = _inverse(B)
             x_b = np.maximum(b_inv @ b, 0.0)
             refactor_left = 64
@@ -1058,7 +1051,7 @@ def _dual_phase(
                 column = N[:, slot]
                 column[:] = 0.0
                 _write_column(prob, column, state + 1, action + offset)
-                c_n[slot] = prob.r[state] * prob.w[action + offset]
+                c_n[slot] = prob.objective(state + 1, action + offset)
     return None
 
 
@@ -1084,22 +1077,23 @@ def _phase1(prob: OccupancyProblem, tol: float) -> tuple[list[int], Start]:
     x_b, lu, piv = _basic_values(prob, B)
     twin = replace(prob, rho=prob.rho - x_b[-1])
     _simplex_loop(twin, basis, (B, x_b, lu, piv), phase1=True, tol=tol)
-    slack = float(_solve(B, prob.b)[basis.index(prob.slack_id)])
+    values = _basic_values(prob, B)
+    if values is None:
+        raise RuntimeError("phase 1 ended on a singular basis")
+    x_b = values[0]
+    slack = float(x_b[basis.index(prob.slack_id)])
     if slack < -tol:
         raise InfeasibleOccupancyError(
             f"occupancy LP infeasible (residual {-slack:.3g}); "
             "bid1_at_m forces more spending than rho allows at this m"
         )
-    start = _primal_values(prob, B, tol)
-    if start is None:
-        raise RuntimeError("phase 1 ended on a singular or primal-infeasible basis")
-    return basis, start
+    if x_b.min() < -tol:
+        raise RuntimeError("phase 1 ended on a primal-infeasible basis")
+    return basis, (B, *values)
 
 
 def solve_occupancy_problem(
-    prob: OccupancyProblem,
-    tol: float = 1e-9,
-    starts: Sequence[BasisLayout | Sequence[int]] = (),
+    prob: OccupancyProblem, starts: Sequence[BasisLayout | Sequence[int]] = ()
 ) -> OccupancySolution:
     """Solve from the first primal-feasible basis among `starts` (in order);
     when none is, from `starts[0]` made primal feasible by ``_dual_phase``;
@@ -1127,14 +1121,14 @@ def solve_occupancy_problem(
         if i == 0:
             first = layout
         split = layout.chain
-        if split is not None and split.primal(prob, layout, tol) is None:
+        if split is not None and split.primal(prob, layout, _TOL) is None:
             continue
         checked = _primal_values(prob, _layout_matrix(prob, layout), np.inf)
         if checked is None:  # singular; any x_B passes a tolerance of inf
             if i == 0:
                 first = None
             continue
-        if checked[1].min() >= -tol:
+        if checked[1].min() >= -_TOL:
             basis, start, used = layout.ids.tolist(), checked, i  # pivoted in place
             break
         if i == 0:
@@ -1144,18 +1138,18 @@ def solve_occupancy_problem(
             start = _primal_values(prob, _layout_matrix(prob, first), np.inf)
         if start is not None:
             candidate = first.ids.tolist()
-            start = _dual_phase(prob, candidate, start, tol)
+            start = _dual_phase(prob, candidate, start, _TOL)
             if start is not None:
                 basis, used = candidate, 0
     if basis is None:
         for candidate in _crash_bases(prob):
-            start = _primal_values(prob, _basis_matrix(prob, candidate), tol)
+            start = _primal_values(prob, _basis_matrix(prob, candidate), _TOL)
             if start is not None:
                 basis = candidate
                 break
         else:
-            basis, start = _phase1(prob, tol)
-    x_b = _simplex_loop(prob, basis, start, phase1=False, tol=tol)
+            basis, start = _phase1(prob, _TOL)
+    x_b = _simplex_loop(prob, basis, start, phase1=False, tol=_TOL)
     return _solution_from_basis(prob, basis, x_b, used)
 
 
@@ -1381,20 +1375,12 @@ def policy_from_mixtures(prob: OccupancyProblem, mixtures: list[Mixture]) -> Pol
     return PolicyVec(prob.m, states, bid1_at_m=prob.bid1_at_m)
 
 
-def policy_from_occupancy(prob: OccupancyProblem, q: dict[tuple[int, int], float]) -> PolicyVec:
-    """Per-state mixtures of the occupancy q[(state, action index)]."""
-    keys = list(q)
-    mixtures = state_mixtures(prob, [s for s, _ in keys], [i for _, i in keys], list(q.values()))
-    return policy_from_mixtures(prob, mixtures)
-
-
 def solve_benchmark(
     market: MarketDistribution,
     reward: RewardFn,
     m: int,
     rho: float,
     bid1_at_m: bool = False,
-    tol: float = 1e-9,
 ) -> BenchResult:
     """Optimal per-state multiplier mixtures for the m-state budgeted chain.
 
@@ -1403,10 +1389,11 @@ def solve_benchmark(
     actions = candidate_multipliers(market)
     w, p = win_pay_curve(market, actions)
     prob = occupancy_problem((actions, w, p), reward, m, rho, bid1_at_m)
-    sol = solve_occupancy_problem(prob, tol)
-    policy = policy_from_occupancy(prob, sol.q)
+    sol = solve_occupancy_problem(prob)
+    states, acts, masses = sol.kept
+    policy = policy_from_mixtures(prob, state_mixtures(prob, states, acts, masses))
     win_vec, pay_vec = policy.action_curves(market)
-    occupancy = {(s, float(prob.mus[i])): v for (s, i), v in sol.q.items()}
+    occupancy = dict(zip(zip(states.tolist(), prob.mus[acts].tolist()), masses.tolist()))
     return BenchResult(
         policy=policy,
         occupancy=occupancy,

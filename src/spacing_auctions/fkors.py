@@ -308,7 +308,6 @@ def run_fkors(
     rng: Optional[SplitMix64] = None,
     trace: bool = False,
     diagnostics: bool = False,
-    opt_ref: Optional[float] = None,
 ) -> RunRecord:
     """Simulate one full run; see the module docstring for the protocol."""
     if rng is None:
@@ -329,7 +328,7 @@ def run_fkors(
         },
     )
     diags: Optional[list[EpochDiagnostic]] = [] if diagnostics else None
-    if diagnostics and opt_ref is None:
+    if diagnostics:
         opt_ref = solve_benchmark(market, reward, m, rho, bid1_at_m=False).opt_value
 
     fake = 1
@@ -352,7 +351,7 @@ def run_fkors(
                     epoch,
                     r_avg,
                     c_avg,
-                    max(0.0, (opt_ref or 0.0) - r_avg),
+                    max(0.0, opt_ref - r_avg),
                     max(0.0, c_avg - rho),
                 )
             )

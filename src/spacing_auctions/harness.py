@@ -279,13 +279,6 @@ def _map_jobs(fn, jobs: list[dict], workers: int) -> list:
     return [fn(j) for j in jobs]
 
 
-def run_batch(
-    config_doc: dict, algorithm: str, seeds: Sequence[int], workers: int = 1
-) -> list[dict]:
-    """Run one algorithm over many seeds and return per-run statistics."""
-    return run_batch_groups([(config_doc, algorithm, seeds)], workers)[0]
-
-
 def run_batch_groups(
     groups: Sequence[tuple[dict, str, Sequence[int]]], workers: int = 1
 ) -> list[list[dict]]:

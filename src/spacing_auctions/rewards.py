@@ -1,8 +1,9 @@
 """Per-win reward sequences r(l) over the gap l since the last conversion.
 
 All built-in kinds are increasing and concave with r(0) = 0 and increments
-bounded by 1, which is what the rest of the package assumes.  ``table`` holds
-arbitrary user values and is validated rather than trusted.
+bounded by 1, which is what the rest of the package assumes.  The
+``"table"`` kind holds arbitrary user values and is validated rather than
+trusted.
 """
 
 from __future__ import annotations

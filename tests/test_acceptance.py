@@ -30,7 +30,6 @@ from spacing_auctions.harness import (
     check_state_reduction,
     load_config,
     reference_opt,
-    run_batch,
 )
 from spacing_auctions.market import discretize_uniform
 from spacing_auctions.rewards import cap_linear_reward, sqrt_reward

@@ -43,7 +43,7 @@ from spacing_auctions.benchmark import (
     cycle_stats_wp,
     finite_horizon_dp,
     occupancy_problem,
-    policy_from_occupancy,
+    policy_from_mixtures,
     reach_probabilities,
     solve_benchmark,
     solve_occupancy_problem,
@@ -1101,13 +1101,12 @@ def test_policy_from_occupancy_defaults():
     prob = occupancy_problem((actions, w, p), cap_linear_reward(2), 3, 0.4, True)
     # mass only in state 1: state 2 inherits it, state 3 is pinned to bid 1
     i0 = int(np.nonzero(actions == 0.0)[0][0])
-    policy = policy_from_occupancy(prob, {(1, i0): 1.0})
+    policy = policy_from_mixtures(prob, state_mixtures(prob, [1], [i0], [1.0]))
     assert policy.states[1] == policy.states[0] == ((0.0, 1.0),)
     assert policy.states[2] == ((0.0, 1.0),)  # bid1_at_m
     # an all-skip plan stays all-skip
-    empty = policy_from_occupancy(
-        occupancy_problem((actions, w, p), cap_linear_reward(2), 3, 0.4, False), {}
-    )
+    off = occupancy_problem((actions, w, p), cap_linear_reward(2), 3, 0.4, False)
+    empty = policy_from_mixtures(off, state_mixtures(off, [], [], []))
     assert all(mix == ((SKIP, 1.0),) for mix in empty.states)
 
 

@@ -7,7 +7,8 @@ for dual-restart solves on programs captured from a FKORS run on a 500-atom
 market, and on adversarial markets: tied ratios, p = 0 and c = 0 atoms, and
 rho at the edge of feasibility, where both solvers must report infeasible.
 So must cold solves, from the crash vertices or phase 1, on random and
-adversarial markets.
+adversarial markets.  A plan the learner reuses because verification
+certified it must lie within the reuse tolerance of HiGHS's optimum.
 """
 
 from dataclasses import replace
@@ -41,6 +42,7 @@ from spacing_auctions.harness import random_market as harness_random_market
 from spacing_auctions.market import (
     MarketDistribution,
     candidate_multipliers,
+    market_from_config,
     mean_conversion,
     win_pay_curve,
 )
@@ -103,8 +105,8 @@ def captured():
     out = []
     solve = fkors.solve_occupancy_problem
 
-    def recording(prob, tol=1e-9, starts=()):
-        sol = solve(prob, tol, starts)
+    def recording(prob, starts=()):
+        sol = solve(prob, starts)
         out.append((prob, [layout.ids.tolist() for layout in starts], sol))
         return sol
 
@@ -124,6 +126,43 @@ def test_dual_restarts_on_captured_fkors_programs_match_highs(captured):
     for prob, sol in checked:
         assert sol.objective == pytest.approx(highs(prob), abs=HIGHS_TOL)
         assert verify_basis(prob, sol.basis) is not None
+
+
+def verified_plans(market, cfg):
+    """(prob, layout, x_B) of every plan that verification certified in a
+    FKORS run."""
+    out = []
+    verify = fkors.verify_basis_values
+
+    def recording(prob, layout, **tols):
+        x_b = verify(prob, layout, **tols)
+        if x_b is not None:
+            out.append((prob, layout, x_b))
+        return x_b
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fkors, "verify_basis_values", recording)
+        run_fkors(market, sqrt_reward(), cfg)
+    return out
+
+
+def test_verify_accepted_plans_match_highs():
+    # a certified plan's reduced costs are at most reuse_tolerance, and every
+    # feasible point has unit mass and a budget slack of at most rho, so by
+    # weak duality the plan lies at most reuse_tolerance (1 + rho) below the
+    # optimum
+    wide = wide_market()
+    wide_cfg = FkorsConfig.from_defaults(0.2, 300, mean_conversion(wide), seed=1)
+    wide_plans = verified_plans(wide, wide_cfg)
+    grid = market_from_config({"type": "uniform_grid", "K": 50})
+    grid_cfg = FkorsConfig.from_defaults(0.2, 8000, mean_conversion(grid), seed=7001)
+    grid_plans = verified_plans(grid, grid_cfg)
+    assert len(wide_plans) >= 20 and len(grid_plans) >= 1000
+    # every wide plan, and about 60 across the grid run
+    for cfg, plans in ((wide_cfg, wide_plans), (grid_cfg, grid_plans[:: len(grid_plans) // 60])):
+        bound = cfg.reuse_tolerance * (1.0 + cfg.rho) + HIGHS_TOL
+        for prob, layout, x_b in plans:
+            assert highs(prob) - _objective_coeffs(prob, layout.ids) @ x_b <= bound
 
 
 @pytest.fixture
