@@ -43,27 +43,29 @@ Two solution paths exist on purpose:
   slack from the last of them, the all-skip chain, whose other basic
   values are never negative; it needs no artificial column, and it proves
   the program infeasible when the slack stays negative.  A start may be a
-  ``basis_layout``: a chain-covered one is screened by its chain split,
-  and only the start the simplex pivots from is filled and factored.  The
-  primal loop's entering column is the first maximum over every nonbasic
+  ``basis_layout``; every start is checked by its chain split, and only
+  the start the simplex pivots from is filled into a matrix.  The primal
+  loop's entering column is the first maximum over every nonbasic
   column, found by pricing each state at its threshold
   (``_threshold_pricing``): on a market's curves a state's reduced costs
   peak at the first multiplier with mu >= y_budget / a_l, the bid rule
   min(1, c / mu) applied to the duals.  So each solution is certified
   optimal on the full program.  Bland's rule, the first nonbasic id above
   the tolerance, prices every action of the one state that holds it.  Each
-  loop starts from the LU that checked its basis.
+  loop forms the explicit inverse of its basis matrix by one LAPACK LU
+  (``_dense_inverse``); the solution's x_B comes from the chain split of
+  the final basis, and the solution hands back that basis's layout.
   ``verify_basis`` re-checks a stored basis against fresh coefficients,
   letting the learner keep its policy when it is still optimal; only when
   no stored basis certifies does the learner solve again, warm-started from
   those bases.  A check refills the basis from its ``basis_layout``
   (Fortran-order flat positions with values affine in W or P) and builds
-  the basis costs from the columns the layout decoded.  A basis holding a
-  column of every state 2..m-1 (nearly every basis the learner checks) is
+  the basis costs from the columns the layout decoded.  Every basis is
   solved by elimination along the chain (``ChainSplit``): unit pivots on
-  the flow rows, banded triangular solves and an LU of a 3x3 Schur
-  complement; any other basis by one LAPACK LU of the refilled matrix.
-  Its dual check prices each state at its threshold as well.
+  the flow rows of the states 2..m-1 that hold a column, banded triangular
+  solves and an LU of a Schur complement over the other rows, 3x3 when
+  each of those states holds a column (nearly every basis the learner
+  checks).  Its dual check prices each state at its threshold as well.
   ``OccupancyProblem`` is the one home of the column encoding (``encode``,
   ``decode``) and of a column's objective coefficient r(l) W_i.
 
@@ -101,8 +103,6 @@ from .simplex import LinearProgram
 _MASS_TOL = 1e-12
 _ZERO = np.zeros(1)
 Mixture = tuple[list[float], list[float]]  # (multipliers, weights) of one state
-# a checked basis as the simplex loops start from it: (B, C-ordered; x_B; getrf's LU, pivots)
-Start = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 _MAX_PIVOTS = 100_000
 _TOL = 1e-9  # the solver's primal feasibility and reduced-cost tolerance
 
@@ -288,7 +288,8 @@ class BasisLayout:
     ids, and column k of them is (states[k], actions[k]).  All but the ids
     and actions depend only on the states, so one layout refills the matrix
     for any W and P, and ``rekey`` moves it onto another candidate set along
-    with its ``ChainSplit`` (``chain``), which is derived on first use."""
+    with its ``ChainSplit`` (``chain``, for a square layout), which is
+    derived on first use."""
 
     n_rows: int
     ids: np.ndarray
@@ -323,8 +324,8 @@ class BasisLayout:
         return twin
 
     @cached_property
-    def chain(self) -> Optional["ChainSplit"]:
-        """The layout's ``ChainSplit``; None when it is not chain-covered."""
+    def chain(self) -> "ChainSplit":
+        """The layout's ``ChainSplit``."""
         return ChainSplit.of(self)
 
 
@@ -513,168 +514,158 @@ class OccupancySolution:
     budget_used: float
     basis: tuple[int, ...]
     x_b: np.ndarray = field(repr=False, compare=False)  # basic values, clipped at 0
+    layout: BasisLayout = field(repr=False, compare=False)  # the basis's, split derived
     # (states, actions, masses) of the structural basic columns with mass
     kept: tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False, compare=False)
     start: int = -1  # index of the caller's start the simplex began from; -1: none
 
 
 def _solution_from_basis(
-    prob: OccupancyProblem, basis: Sequence[int], x_b: np.ndarray, start: int = -1
+    prob: OccupancyProblem, layout: BasisLayout, x_b: np.ndarray, start: int = -1
 ) -> OccupancySolution:
-    ids = np.asarray(basis, dtype=int)
+    ids = layout.ids
     keep = (ids != prob.slack_id) & (x_b > 0.0)
     states, actions = prob.decode(ids[keep])
     vals = x_b[keep]
     obj = float(np.sum(prob.objective(states, actions) * vals))
     pay = float(np.sum(prob.p[actions] * vals))
-    return OccupancySolution(obj, pay, tuple(basis), x_b, (states, actions, vals), start)
-
-
-def _basic_values(
-    prob: OccupancyProblem, B: np.ndarray
-) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(x_B, LU, pivots) of the square basis matrix B, which LAPACK getrf
-    factors in a copy, if B is nonsingular (every |U diagonal| >= 1e-13)
-    and x_B is finite; None otherwise."""
-    lu, piv, _ = _getrf(B)
-    if abs(lu.diagonal()).min() < 1e-13:
-        return None
-    x_b, _ = _getrs(lu, piv, prob.b)
-    if not np.isfinite(x_b).all():
-        return None
-    return x_b, lu, piv
-
-
-def _primal_values(prob: OccupancyProblem, B: np.ndarray, primal_tol: float) -> Optional[Start]:
-    """(B, *``_basic_values``) if no entry of x_B lies below -primal_tol."""
-    values = _basic_values(prob, B)
-    if values is None or values[0].min() < -primal_tol:
-        return None
-    return (B, *values)
+    return OccupancySolution(
+        obj, pay, tuple(ids.tolist()), x_b, layout, (states, actions, vals), start)
 
 
 @dataclass(frozen=True)
 class ChainSplit:
-    """Block elimination of a chain-covered basis along the chain.
+    """Block elimination of a square basis along the chain.
 
-    A basis is chain-covered when it holds a column of every state 2..m-1
-    (m >= 3).  The first such column of state l, in basis order, pivots on
-    state l's own flow row, where it holds exactly 1.  The other three
-    columns (state-1 and state-m columns, a second column of a state, the
-    slack) form the border.  With the n = m - 2 flow rows and the pivot
-    columns first, the basis matrix is
+    Each state 2..m-1 that holds a column of the basis pivots its first
+    column, in basis order, on the state's own flow row, where that column
+    holds exactly 1.  The other columns (state-1 and state-m columns, further
+    columns of a state, the slack) form the border, and so do the other
+    rows: the state-1 inflow row, the own rows of the k states 2..m-1 with
+    no column, then the mass and budget rows, in row order.  With the n
+    pivot rows and columns first, the basis matrix is
 
         B = [[A,  G ],
              [Dp, Dz]]
 
-    where A is unit lower bidiagonal, its subdiagonal -(1 - W) of the
-    previous pivot, and the border rows are the state-1 inflow, mass and
-    budget rows.  B x = b and B^T y = c then take two banded triangular
-    solves with A (LAPACK tbtrs) and an LU of the 3x3 Schur complement
-    S = Dz - Dp A^-1 G.  This is an LU of B in the pivot order the chain
-    fixes: U's diagonal is 1 on the pivots and S's U diagonal on the border,
-    so the |U diagonal| >= 1e-13 rule keeps its meaning.  Growth is bounded:
-    the entries of A^-1 are products of (1 - W) in [0, 1], and a column of G
-    holds at most two entries of magnitude at most 1, so |A^-1 G| <= 2.
+    where A is unit lower bidiagonal: below a pivot sits the -(1 - W) its
+    state feeds into the next state's row, 0 where the next state holds no
+    column (a gap breaks the chain) or is state m.  The Schur complement
+    S = Dz - Dp A^-1 G is (3 + k) x (3 + k); for m = 1 and 2 there are no
+    flow rows to pivot on, and S is the whole basis.  B x = b and B^T y = c
+    take two banded triangular solves with A (LAPACK tbtrs) and an LU of S
+    (getrf).  This is an LU of B in the pivot order the chain fixes: U's
+    diagonal is 1 on the pivots and S's U diagonal on the border, so B is
+    singular exactly when S is and the |U diagonal| >= 1e-13 rule keeps its
+    meaning.  Growth is bounded: the entries of A^-1 are products of (1 - W)
+    in [0, 1] (0 across a gap), and a column of G holds at most two nonzero
+    entries, its own-row 1 and the -(1 - W) it feeds, so |A^-1 G| <= 2.  An
+    uncovered state's own row holds at most one entry of Dp, the -(1 - W) of
+    the previous state's pivot, so its row of Dp A^-1 G is at most 2 as well.
 
     `flat` maps the layout's entries into one buffer that holds, each in
     Fortran order, A in band storage (2 x n: diagonal, then subdiagonal), G
-    (n x 3), Dp (3 x n) and Dz (3 x 3).  Basis position j is column
-    new_col[j] of the pivot-then-border order.
+    (n x nb), Dp (nb x n) and Dz (nb x nb), where nb = 3 + k (2 for m = 1).
+    Basis position j is column new_col[j] of the pivot-then-border order,
+    row i is row new_row[i] of it, and `border` holds the border rows.
     """
 
     n: int
     flat: np.ndarray
     new_col: np.ndarray
+    new_row: np.ndarray
+    border: np.ndarray
 
     @staticmethod
-    def of(layout: BasisLayout) -> Optional["ChainSplit"]:
-        """The split of a square `layout`; None unless it is chain-covered."""
+    def of(layout: BasisLayout) -> "ChainSplit":
+        """The split of a square `layout`."""
         R = layout.n_rows
-        n = R - 3  # own rows 1..m-2 of states 2..m-1, as m = R - 1
-        if n < 1 or layout.ids.shape[0] != R:
-            return None
+        if layout.ids.shape[0] != R:
+            raise ValueError("only a square basis splits along the chain")
         states, first = np.unique(layout.states, return_index=True)
-        lo, hi = np.searchsorted(states, (2, R - 1))
-        if hi - lo != n:
-            return None
+        # state l in 2..m-1 owns row l - 1, as m = R - 1; m <= 2 has none
+        lo, hi = np.searchsorted(states, (2, max(R - 1, 2)))
+        n = hi - lo
         pivots = np.flatnonzero(layout.struct)[first[lo:hi]]
-        border = np.ones(R, dtype=bool)
-        border[pivots] = False
+        border_col = np.ones(R, dtype=bool)
+        border_col[pivots] = False
         new_col = np.empty(R, dtype=int)
         new_col[pivots] = np.arange(n)
-        new_col[border] = np.arange(n, R)
+        new_col[border_col] = np.arange(n, R)
+        border_row = np.ones(R, dtype=bool)
+        border_row[states[lo:hi] - 1] = False
+        new_row = np.empty(R, dtype=int)
+        new_row[~border_row] = np.arange(n)
+        new_row[border_row] = np.arange(n, R)
+        nb = R - n
         cols, rows = np.divmod(layout.flat, R)
-        cols = new_col[cols]  # in the pivot-then-border order
-        a = rows - 1  # row of A
-        d = np.where(rows == 0, 0, rows - n)  # border row: state-1, mass, budget
+        cols, rows = new_col[cols], new_row[rows]  # in the pivot-then-border order
         pivot = cols < n
         flat = np.where(
-            (rows >= 1) & (rows <= n),
-            np.where(pivot, a + cols, 2 * n + a + n * (cols - n)),
-            np.where(pivot, 5 * n + d + 3 * cols, 8 * n + d + 3 * (cols - n)),
+            rows < n,
+            np.where(pivot, rows + cols, 2 * n + rows + n * (cols - n)),
+            np.where(
+                pivot,
+                2 * n + n * nb + rows - n + nb * cols,
+                2 * n + 2 * n * nb + rows - n + nb * (cols - n),
+            ),
         )
-        return ChainSplit(n, flat, new_col)
+        return ChainSplit(n, flat, new_col, new_row, np.flatnonzero(border_row))
+
+    def factor(self, prob: OccupancyProblem, layout: BasisLayout) -> tuple:
+        """(A in band storage, Dp, A^-1 G, getrf's LU of S, its pivots) of
+        the basis `layout` fills for `prob`."""
+        n = self.n
+        nb = self.new_col.shape[0] - n
+        buf = np.zeros(2 * n + 2 * n * nb + nb * nb)
+        buf[self.flat] = layout.values(prob)
+        ab = buf[: 2 * n].reshape(2, n, order="F")
+        g = buf[2 * n : 2 * n + n * nb].reshape(n, nb, order="F")
+        dp = buf[2 * n + n * nb : 2 * n + 2 * n * nb].reshape(nb, n, order="F")
+        g_solved, _ = _tbtrs(ab, g, uplo="L", diag="U")
+        lu, piv, _ = _getrf(
+            buf[2 * n + 2 * n * nb :].reshape(nb, nb, order="F") - dp @ g_solved,
+            overwrite_a=True,
+        )
+        return ab, dp, g_solved, lu, piv
+
+    def x_b(self, factors: tuple, b: np.ndarray) -> np.ndarray:
+        """B^-1 b in basis order, for a right-hand side `b` that is zero on
+        the flow rows, as every program's is."""
+        _, _, g_solved, lu, piv = factors
+        x_z, _ = _getrs(lu, piv, b[self.border])
+        return np.concatenate((-(g_solved @ x_z), x_z))[self.new_col]
 
     def primal(
         self, prob: OccupancyProblem, layout: BasisLayout, primal_tol: float
     ) -> Optional[tuple[np.ndarray, tuple]]:
-        """(x_B, factors for ``solve``) of B x_B = b; None when B is
-        singular, x_B is not finite or an entry of it lies below -primal_tol."""
-        n = self.n
-        buf = np.zeros(8 * n + 9)
-        buf[self.flat] = layout.values(prob)
-        ab = buf[: 2 * n].reshape(2, n, order="F")
-        dp = buf[5 * n : 8 * n].reshape(3, n, order="F")
-        g_solved, _ = _tbtrs(ab, buf[2 * n : 5 * n].reshape(n, 3, order="F"), uplo="L", diag="U")
-        lu, piv, _ = _getrf(
-            buf[8 * n :].reshape(3, 3, order="F") - dp @ g_solved, overwrite_a=True
-        )
-        if abs(lu.diagonal()).min() < 1e-13:
+        """(x_B, ``factor``'s factors) of B x_B = b; None when B is singular
+        (some |U diagonal| < 1e-13), x_B is not finite or an entry of it lies
+        below -primal_tol."""
+        factors = self.factor(prob, layout)
+        if abs(factors[3].diagonal()).min() < 1e-13:
             return None
-        x_z, _ = _getrs(lu, piv, prob.b[[0, -2, -1]])
-        x_b = np.concatenate((-(g_solved @ x_z), x_z))[self.new_col]
+        x_b = self.x_b(factors, prob.b)
         if not np.isfinite(x_b).all() or x_b.min() < -primal_tol:
             return None
-        return x_b, (ab, dp, g_solved, lu, piv)
+        return x_b, factors
 
     def solve(
         self, prob: OccupancyProblem, layout: BasisLayout, primal_tol: float
     ) -> Optional[tuple[np.ndarray, np.ndarray]]:
-        """``_basis_solves`` by block elimination."""
+        """(x_B, y) of the square basis `layout`: B x_B = b and B^T y = c_B,
+        the basis costs built from the layout's decoded columns and `prob`'s
+        rewards and W.  None when ``primal`` is."""
         primal = self.primal(prob, layout, primal_tol)
         if primal is None:
             return None
         x_b, (ab, dp, g_solved, lu, piv) = primal
         n = self.n
-        c = np.zeros(n + 3)
+        c = np.zeros(self.new_col.shape[0])
         c[self.new_col[layout.struct]] = prob.objective(layout.states, layout.actions)
         y_d, _ = _getrs(lu, piv, c[n:] - g_solved.T @ c[:n], trans=1)
         y_c, _ = _tbtrs(ab, c[:n] - dp.T @ y_d, uplo="L", trans="T", diag="U")
-        return x_b, np.concatenate((y_d[:1], y_c.ravel(), y_d[1:]))
-
-
-def _basis_solves(
-    prob: OccupancyProblem, layout: BasisLayout, primal_tol: float
-) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """(x_B, y) of the square basis `layout`: B x_B = b and B^T y = c_B, the
-    basis costs built from the layout's decoded columns and `prob`'s rewards
-    and W.  None when B is singular (some |U diagonal| < 1e-13), x_B is not
-    finite or an entry of x_B lies below -primal_tol.  A chain-covered basis
-    is solved through its ``ChainSplit``; any other by ``_primal_values`` on
-    the refilled matrix, whose LU also serves the dual solve."""
-    split = layout.chain
-    if split is not None:
-        return split.solve(prob, layout, primal_tol)
-    R = prob.n_rows
-    primal = _primal_values(prob, layout.fill(prob, np.zeros((R, R), order="F")), primal_tol)
-    if primal is None:
-        return None
-    _, x_b, lu, piv = primal
-    cb = np.zeros(R)
-    cb[layout.struct] = prob.objective(layout.states, layout.actions)
-    y, _ = _getrs(lu, piv, cb, trans=1)
-    return x_b, y
+        return x_b, np.concatenate((y_c.ravel(), y_d))[self.new_row]
 
 
 def verify_basis_values(
@@ -685,12 +676,10 @@ def verify_basis_values(
 ) -> Optional[np.ndarray]:
     """x_B of the basis `layout.ids` if it is primal feasible and within
     dual_tol of optimal for `prob`; None otherwise.  The primal and dual
-    systems are solved by ``_basis_solves``: by elimination along the chain
-    when the basis holds a column of every state 2..m-1, by one LU of the
-    refilled basis matrix otherwise.  Each state's best column is priced
-    (``_threshold_pricing``); basic columns price at round-off of zero, so
-    they need no mask."""
-    values = _basis_solves(prob, layout, primal_tol)
+    systems are solved by elimination along the chain (``ChainSplit.solve``).
+    Each state's best column is priced (``_threshold_pricing``); basic
+    columns price at round-off of zero, so they need no mask."""
+    values = layout.chain.solve(prob, layout, primal_tol)
     if values is None:
         return None
     x_b, y = values
@@ -709,10 +698,11 @@ def verify_basis(
     dual_tol of optimal for `prob`; None otherwise."""
     if not _valid_ids(prob, basis):
         return None
-    x_b = verify_basis_values(prob, basis_layout(prob, basis), primal_tol, dual_tol)
+    layout = basis_layout(prob, basis)
+    x_b = verify_basis_values(prob, layout, primal_tol, dual_tol)
     if x_b is None:
         return None
-    return _solution_from_basis(prob, basis, x_b)
+    return _solution_from_basis(prob, layout, x_b)
 
 
 def _valid_ids(prob: OccupancyProblem, basis: Sequence[int]) -> bool:
@@ -822,13 +812,15 @@ def _entering_column(
 
 
 def _simplex_loop(
-    prob: OccupancyProblem, basis: list[int], start: Start, phase1: bool, tol: float
-) -> np.ndarray:
-    """Revised primal simplex from a feasible basis and its `start`, both
-    pivoted in place; returns x_B.
+    prob: OccupancyProblem, basis: list[int], B: np.ndarray, phase1: bool, tol: float
+) -> tuple[BasisLayout, np.ndarray, tuple]:
+    """Revised primal simplex from a feasible basis and its matrix B
+    (C-ordered), both pivoted in place; returns the final basis's layout,
+    x_B clipped at zero, and the factors of its split.
 
-    The basis inverse, from the start's LU, is maintained in product form
-    with periodic refactorization by ``_inverse``.  Entering columns follow
+    The explicit basis inverse (``_dense_inverse``) is maintained in product
+    form with periodic refactorization; the final x_B comes from the split
+    of the final basis.  Entering columns follow
     Dantzig's rule (first maximum, deterministic; ``_entering_column``)
     until a long streak of degenerate steps, after which the loop switches
     to Bland's rule for guaranteed termination.  Phase 1 maximizes the
@@ -836,8 +828,7 @@ def _simplex_loop(
     """
     R = prob.n_rows
     b = prob.b
-    B, _, lu, piv = start
-    b_inv = _lu_inverse(lu, piv)
+    b_inv = _dense_inverse(B)
     x_b = b_inv @ b
     refactor_left = 64
     bland = False
@@ -859,7 +850,7 @@ def _simplex_loop(
         direction = b_inv @ a_j
         if float(np.max(np.abs(B @ direction - a_j))) > 1e-8:
             # the product-form inverse drifted: refactorize and recompute
-            b_inv = _inverse(B)
+            b_inv = _dense_inverse(B)
             x_b = np.maximum(b_inv @ b, 0.0)
             refactor_left = 64
             direction = b_inv @ a_j
@@ -871,7 +862,7 @@ def _simplex_loop(
             # numerically unreliable pivot: refresh the factorization and
             # retry from exact data; if the refreshed entry is still tiny,
             # price again with the refreshed inverse
-            b_inv = _inverse(B)
+            b_inv = _dense_inverse(B)
             x_b = np.maximum(b_inv @ b, 0.0)
             refactor_left = 64
             direction = b_inv @ a_j
@@ -898,7 +889,7 @@ def _simplex_loop(
         B[:, leave] = a_j
         refactor_left -= 1
         if refactor_left <= 0:
-            b_inv = _inverse(B)
+            b_inv = _dense_inverse(B)
             x_b = np.maximum(b_inv @ b, 0.0)
             refactor_left = 64
         else:
@@ -906,28 +897,23 @@ def _simplex_loop(
     else:
         raise RuntimeError("occupancy simplex pivot limit exceeded")
     # refresh the solution from a clean factorization before returning
-    x_b = _solve(B, b)
-    return np.maximum(x_b, 0.0)
+    layout = basis_layout(prob, basis)
+    factors = layout.chain.factor(prob, layout)
+    if not factors[3].diagonal().all():
+        raise np.linalg.LinAlgError("Singular matrix")
+    return layout, np.maximum(layout.chain.x_b(factors, b), 0.0), factors
 
 
-def _solve(B: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """B^-1 b through LAPACK getrf/getrs, the route basis checks take; raises
-    LinAlgError when getrf meets an exactly zero pivot.  (numpy's solver,
-    from its own OpenBLAS build, changed in its last bits with the BLAS
-    thread count from about 108 rows on, and with it the learner's runs.)"""
+def _dense_inverse(B: np.ndarray) -> np.ndarray:
+    """B^-1 (C-ordered) through LAPACK getrf and getrs on the identity;
+    raises LinAlgError when getrf meets an exactly zero pivot.  The one
+    factorization of a whole basis matrix, kept for the simplex loops: their
+    product-form pivots from the split's block inverse reached other optimal
+    vertices of degenerate programs."""
     lu, piv, info = _getrf(B)
     if info > 0:
         raise np.linalg.LinAlgError("Singular matrix")
-    return _getrs(lu, piv, b)[0]
-
-
-def _inverse(B: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(_solve(B, np.eye(B.shape[0])))
-
-
-def _lu_inverse(lu: np.ndarray, piv: np.ndarray) -> np.ndarray:
-    """``_inverse`` of the matrix whose getrf factors are `lu` and `piv`."""
-    return np.ascontiguousarray(_getrs(lu, piv, np.eye(lu.shape[0]))[0])
+    return np.ascontiguousarray(_getrs(lu, piv, np.eye(B.shape[0]))[0])
 
 
 def _update_inverse(b_inv: np.ndarray, direction: np.ndarray, leave: int) -> None:
@@ -959,10 +945,8 @@ def _neighbour_offsets(prob: OccupancyProblem) -> np.ndarray:
     ))
 
 
-def _dual_phase(
-    prob: OccupancyProblem, basis: list[int], start: Start, tol: float
-) -> Optional[Start]:
-    """Dual simplex pivots on `basis` and its `start` (nonsingular, primal
+def _dual_phase(prob: OccupancyProblem, basis: list[int], B: np.ndarray, tol: float) -> bool:
+    """Dual simplex pivots on `basis` and its matrix B (nonsingular, primal
     infeasible), both in place, until the basis is primal feasible.
 
     Meant for a recently optimal basis that the new program's coefficients
@@ -984,18 +968,17 @@ def _dual_phase(
     e_r^T B^-1 N.  The ratio test runs over live, nonbasic slots with a
     row entry below -1e-9 and breaks ties by the largest |entry|.
 
-    The basis inverse is `_simplex_loop`'s: explicit, from the start's LU,
-    with product-form updates and a drift check.  The basis is handed over,
-    with the start from a fresh factorization, only if it passes the check
-    a primal-feasible start passes.  Returns None (the basis is then of no
-    use, and the caller starts from its crash vertices) on a singular
-    basis, a row with no negative entry among the neighbours (the program
-    is infeasible, or the start too far off) or after 4 pivots per row.
+    The basis inverse is `_simplex_loop`'s: explicit, with product-form
+    updates and a drift check.  Returns whether the basis is handed over,
+    which it is only if its split passes the check a primal-feasible start
+    passes.  On False (the basis is then of no use, and the caller starts
+    from its crash vertices) the basis is singular, a row has no negative
+    entry among the neighbours (the program is infeasible, or the start too
+    far off) or 4 pivots per row were spent.
     """
     R = prob.n_rows
     b = prob.b
-    B, _, lu, piv = start
-    b_inv = _lu_inverse(lu, piv)
+    b_inv = _dense_inverse(B)
     x_b = b_inv @ b
     cb = _objective_coeffs(prob, basis)
     basic = np.zeros(prob.n_cols + 1, dtype=bool)
@@ -1014,11 +997,12 @@ def _dual_phase(
     for _ in range(4 * R):
         leave = int(np.argmin(x_b))
         if x_b[leave] >= -tol:
-            return _primal_values(prob, B, tol)
+            layout = basis_layout(prob, basis)
+            return layout.chain.primal(prob, layout, tol) is not None
         row = b_inv[leave] @ N
         cand = np.flatnonzero((row < -1e-9) & live & ~basic[ids])
         if cand.size == 0:
-            return None
+            return False
         d = np.minimum(c_n - (b_inv.T @ cb) @ N, 0.0)
         ratios = d[cand] / row[cand]
         tie = cand[ratios <= ratios.min() + 1e-15]
@@ -1028,9 +1012,9 @@ def _dual_phase(
         direction = b_inv @ a_j
         if float(np.max(np.abs(B @ direction - a_j))) > 1e-8 or abs(direction[leave]) < 1e-9:
             try:
-                b_inv = _inverse(B)
+                b_inv = _dense_inverse(B)
             except np.linalg.LinAlgError:
-                return None
+                return False
             x_b = b_inv @ b
             continue
         theta_p = x_b[leave] / direction[leave]
@@ -1052,11 +1036,11 @@ def _dual_phase(
                 column[:] = 0.0
                 _write_column(prob, column, state + 1, action + offset)
                 c_n[slot] = prob.objective(state + 1, action + offset)
-    return None
+    return False
 
 
-def _phase1(prob: OccupancyProblem, tol: float) -> tuple[list[int], Start]:
-    """A primal-feasible basis and its start, pivoted from the all-skip
+def _phase1(prob: OccupancyProblem, tol: float) -> tuple[list[int], np.ndarray]:
+    """A primal-feasible basis and its matrix, pivoted from the all-skip
     chain; raises ``InfeasibleOccupancyError`` when `prob` has none.
 
     The all-skip chain (skip in states 1..m-1, bid 1 in state m) is
@@ -1070,17 +1054,17 @@ def _phase1(prob: OccupancyProblem, tol: float) -> tuple[list[int], Start]:
     leaves: a column entering at reduced cost d_j has the entry -d_j in its
     row.  B^-1 e_budget is the slack's unit vector, so lowering the budget
     back moves the slack alone: the final basis is feasible for `prob`
-    exactly when its slack is.
+    exactly when its slack is, which the final split solves for.
     """
     basis = _chain_basis(prob, prob.skip_idx)
-    B = _basis_matrix(prob, basis)
-    x_b, lu, piv = _basic_values(prob, B)
+    layout = basis_layout(prob, basis)
+    x_b, _ = layout.chain.primal(prob, layout, np.inf)
     twin = replace(prob, rho=prob.rho - x_b[-1])
-    _simplex_loop(twin, basis, (B, x_b, lu, piv), phase1=True, tol=tol)
-    values = _basic_values(prob, B)
-    if values is None:
+    B = _layout_matrix(prob, layout)
+    layout, _, factors = _simplex_loop(twin, basis, B, phase1=True, tol=tol)
+    x_b = layout.chain.x_b(factors, prob.b)
+    if abs(factors[3].diagonal()).min() < 1e-13 or not np.isfinite(x_b).all():
         raise RuntimeError("phase 1 ended on a singular basis")
-    x_b = values[0]
     slack = float(x_b[basis.index(prob.slack_id)])
     if slack < -tol:
         raise InfeasibleOccupancyError(
@@ -1089,7 +1073,7 @@ def _phase1(prob: OccupancyProblem, tol: float) -> tuple[list[int], Start]:
         )
     if x_b.min() < -tol:
         raise RuntimeError("phase 1 ended on a primal-infeasible basis")
-    return basis, (B, *values)
+    return basis, B
 
 
 def solve_occupancy_problem(
@@ -1101,56 +1085,44 @@ def solve_occupancy_problem(
     when none of these works.
 
     A start is a ``basis_layout`` or a sequence of ids.  A sequence of the
-    wrong length or with an id out of range is skipped.  A chain-covered
-    start that its ``ChainSplit`` finds singular or primal infeasible is
-    skipped without building its matrix; any other start is filled from its
-    layout and factored, and skipped when singular.  `starts[0]` (the most
-    recent basis, for the learner) is factored for the dual restart when it
-    is nonsingular and no start is primal feasible.  One dual restart bounds
+    wrong length or with an id out of range is skipped.  Each start is
+    checked by its ``ChainSplit``, and skipped when singular; only the
+    start the simplex pivots from is filled into a matrix.  `starts[0]` (the
+    most recent basis, for the learner) serves the dual restart when it is
+    nonsingular and no start is primal feasible.  One dual restart bounds
     the cost of a miss.  The solution's `start` is the index in `starts` of
     the basis it began from by either route, -1 for a crash vertex or
-    phase 1.
+    phase 1; its `layout` is the final basis's, with its split.
     """
-    basis, start, used = None, None, -1
-    first = None  # starts[0]'s layout while it may serve the dual restart
+    basis, B, used = None, None, -1
+    first = None  # starts[0]'s layout when it may serve the dual restart
     for i, layout in enumerate(starts):
         if not isinstance(layout, BasisLayout):
             if not _valid_ids(prob, layout):
                 continue
             layout = basis_layout(prob, layout)
-        if i == 0:
-            first = layout
-        split = layout.chain
-        if split is not None and split.primal(prob, layout, _TOL) is None:
-            continue
-        checked = _primal_values(prob, _layout_matrix(prob, layout), np.inf)
+        checked = layout.chain.primal(prob, layout, np.inf)
         if checked is None:  # singular; any x_B passes a tolerance of inf
-            if i == 0:
-                first = None
             continue
-        if checked[1].min() >= -_TOL:
-            basis, start, used = layout.ids.tolist(), checked, i  # pivoted in place
+        if checked[0].min() >= -_TOL:
+            basis, B, used = layout.ids.tolist(), _layout_matrix(prob, layout), i
             break
         if i == 0:
-            start = checked  # nonsingular but primal infeasible: the dual restart's
+            first = layout  # nonsingular but primal infeasible
     if basis is None and first is not None:
-        if start is None:  # screened out along the chain: factor it now
-            start = _primal_values(prob, _layout_matrix(prob, first), np.inf)
-        if start is not None:
-            candidate = first.ids.tolist()
-            start = _dual_phase(prob, candidate, start, _TOL)
-            if start is not None:
-                basis, used = candidate, 0
+        candidate, B = first.ids.tolist(), _layout_matrix(prob, first)
+        if _dual_phase(prob, candidate, B, _TOL):  # pivoted in place
+            basis, used = candidate, 0
     if basis is None:
         for candidate in _crash_bases(prob):
-            start = _primal_values(prob, _basis_matrix(prob, candidate), _TOL)
-            if start is not None:
-                basis = candidate
+            layout = basis_layout(prob, candidate)
+            if layout.chain.primal(prob, layout, _TOL) is not None:
+                basis, B = candidate, _layout_matrix(prob, layout)
                 break
         else:
-            basis, start = _phase1(prob, _TOL)
-    x_b = _simplex_loop(prob, basis, start, phase1=False, tol=_TOL)
-    return _solution_from_basis(prob, basis, x_b, used)
+            basis, B = _phase1(prob, _TOL)
+    layout, x_b, _ = _simplex_loop(prob, basis, B, phase1=False, tol=_TOL)
+    return _solution_from_basis(prob, layout, x_b, used)
 
 
 # ---------------------------------------------------------------------------

@@ -59,10 +59,10 @@ import numpy as np
 
 from .baselines import _simulate
 from .benchmark import (
+    BasisLayout,
     MixtureTemplate,
     OccupancyProblem,
     StateMixtures,
-    basis_layout,
     cycle_stats_wp,
     occupancy_problem,
     policy_from_mixtures,
@@ -207,13 +207,15 @@ class _CachedBasis:
     """A recently optimal basis: its `layout` on the current candidate set
     (None while one of its multipliers `mus` is not a candidate), the last
     `live` layout, and the mixture `template`, built when it first serves a
-    plan.  Layout entries, chain split and template depend only on the
-    columns' states and multipliers, so a remap re-keys the layout alone."""
+    plan.  The first layout is the one ``solve_occupancy_problem`` hands back
+    with its solution.
+    Layout entries, chain split and template depend only on the columns'
+    states and multipliers, so a remap re-keys the layout alone."""
 
     __slots__ = ("layout", "live", "mus", "template")
 
-    def __init__(self, prob: OccupancyProblem, basis):
-        self.layout = self.live = basis_layout(prob, basis)
+    def __init__(self, prob: OccupancyProblem, layout: BasisLayout):
+        self.layout = self.live = layout
         self.mus = prob.mus[self.live.actions]
         self.template: Optional[MixtureTemplate] = None
 
@@ -292,7 +294,7 @@ class _EpochPlanner:
             sol = solve_occupancy_problem(prob, starts=starts)
             self.cold_solves += 1
             self.warm_starts += sol.start >= 0
-            self.cache.insert(0, _CachedBasis(prob, sol.basis))
+            self.cache.insert(0, _CachedBasis(prob, sol.layout))
             del self.cache[self._CACHE:]
             x_b = sol.x_b
         entry = self.cache[0]

@@ -18,8 +18,8 @@ from spacing_auctions import benchmark, fkors
 from spacing_auctions.benchmark import (
     InfeasibleOccupancyError,
     BenchResult,
+    ChainSplit,
     MixtureTemplate,
-    _basic_values,
     _basis_matrix,
     _chain_basis,
     _column,
@@ -383,6 +383,14 @@ def with_curves(prob, reward, w, p):
     return occupancy_problem((prob.mus, w, p), reward, prob.m, prob.rho, prob.bid1_at_m)
 
 
+def split_check(prob, basis, primal_tol=np.inf):
+    """The solver's check of the basis ids: (x_B, the split's factors), or
+    None when the basis is singular or an entry of x_B lies below
+    -primal_tol."""
+    layout = basis_layout(prob, basis)
+    return layout.chain.primal(prob, layout, primal_tol)
+
+
 def test_warm_start_from_stale_optimal_basis_reaches_crash_optimum():
     # perturb W/P until the old optimal basis is primal feasible but no
     # longer dual optimal; the solve started there must reach the optimum
@@ -453,7 +461,7 @@ def test_dual_restart_from_infeasible_optimal_basis_reaches_crash_optimum():
                 prob, reward, np.clip(prob.w * (1 + eps * noise[:n]), 0.0, 1.0),
                 prob.p * (1 + eps * noise[n:]),
             )
-            values = _basic_values(prob2, _basis_matrix(prob2, sol.basis))
+            values = split_check(prob2, sol.basis)
             if values is not None and values[0].min() < -1e-9:
                 break
         else:
@@ -478,10 +486,10 @@ def test_failed_dual_restart_falls_back_to_the_crash_vertex():
         prob, sol, _ = random_problem(rng)
         for action in range(prob.n_actions):
             start = _chain_basis(prob, action)
-            values = _basic_values(prob, _basis_matrix(prob, start))
+            values = split_check(prob, start)
             if values is None or values[0].min() >= -1e-9:
                 continue
-            if _dual_phase(prob, list(start), (_basis_matrix(prob, start), *values), 1e-9):
+            if _dual_phase(prob, list(start), _basis_matrix(prob, start), 1e-9):
                 continue
             solved = solve_occupancy_problem(prob, starts=[start])
             assert solved.start == -1
@@ -529,9 +537,8 @@ def test_dual_phase_enters_the_slack_when_the_budget_loosens():
     p = np.array([0.5, 0.3, 0.1, 0.0])
     prob = occupancy_problem((mus, w, p), sqrt_reward(), 1, 0.7, False)
     basis = [0, 1]
-    assert _basic_values(prob, _basis_matrix(prob, basis))[0].min() < -0.5
-    assert _dual_phase(
-        prob, basis, benchmark._primal_values(prob, _basis_matrix(prob, basis), np.inf), 1e-9)
+    assert split_check(prob, basis)[0].min() < -0.5
+    assert _dual_phase(prob, basis, _basis_matrix(prob, basis), 1e-9)
     assert basis == [0, prob.slack_id]
 
 
@@ -795,12 +802,16 @@ def test_verify_basis_values_matches_lu_factor_route():
 
 
 def getrf_route(prob, layout):
-    """(x_B, y) of the refilled basis matrix through getrf and getrs; None
-    when it is singular or x_B is not finite."""
-    values = _basic_values(prob, layout.fill(prob, np.zeros((prob.n_rows,) * 2, order="F")))
-    if values is None:
+    """(x_B, y) of the refilled basis matrix through one LAPACK LU of it
+    (getrf, then getrs); None when it is singular (some |U diagonal| <
+    1e-13) or x_B is not finite."""
+    B = layout.fill(prob, np.zeros((prob.n_rows,) * 2, order="F"))
+    lu, piv, _ = sla.lapack.dgetrf(B)
+    if abs(lu.diagonal()).min() < 1e-13:
         return None
-    x_b, lu, piv = values
+    x_b = sla.lapack.dgetrs(lu, piv, prob.b)[0]
+    if not np.isfinite(x_b).all():
+        return None
     cb = np.zeros(prob.n_rows)
     cb[layout.struct] = prob.objective(layout.states, layout.actions)
     return x_b, sla.lapack.dgetrs(lu, piv, cb, trans=1)[0]
@@ -810,7 +821,6 @@ def assert_chain_parity(prob, layout):
     """The chain split of `layout` solves as getrf does: the same verdict,
     and x_B and y within 1e-12 (relative once an entry exceeds 1).  Returns
     whether the basis was accepted as nonsingular."""
-    assert layout.chain is not None
     got = layout.chain.solve(prob, layout, np.inf)
     want = getrf_route(prob, layout)
     assert (got is None) == (want is None)
@@ -836,8 +846,6 @@ def test_chain_split_matches_getrf_on_optimal_bases():
             drifted = problem.with_curves(
                 np.clip(problem.w * (1 + 0.05 * (rng.uniform() - 0.5)), 0.0, 1.0), problem.p)
             layout = basis_layout(problem, sol.basis)
-            if layout.chain is None:
-                continue
             assert assert_chain_parity(problem, layout)
             assert_chain_parity(drifted, layout)
             seen["bid1_at_m" if bid1 else "free_m"] += 1
@@ -861,18 +869,17 @@ def test_chain_split_matches_getrf_on_captured_grid_bases(monkeypatch):
     monkeypatch.setattr(fkors, "verify_basis_values", capture)
     run_fkors(market, sqrt_reward(), FkorsConfig(rho=0.2, T=2000, m=m, k=k, seed=3))
     assert m == 90 and len(captured) > 500
-    checked = [(prob, layout) for prob, layout in captured[::5] if layout.chain is not None]
-    assert len(checked) > 0.9 * len(captured[::5])
+    checked = captured[::5]
     assert sum(assert_chain_parity(prob, layout) for prob, layout in checked) == len(checked)
 
 
-def chain_problem(bid1_at_m=True):
+def chain_problem(bid1_at_m=True, m=6):
     """A program with five multipliers on a three-atom market and m = 6,
     and the map from (state, action) to its column id."""
     market = atoms_market((0.2, 0.4, 0.3), (0.5, 0.6, 0.3), (0.8, 0.5, 0.4))
     actions = candidate_multipliers(market)
     prob = occupancy_problem(
-        (actions, *win_pay_curve(market, actions)), sqrt_reward(), 6, 0.3, bid1_at_m)
+        (actions, *win_pay_curve(market, actions)), sqrt_reward(), m, 0.3, bid1_at_m)
     return prob, lambda state, action: int(prob.encode(np.array([state]), np.array([action]))[0])
 
 
@@ -891,43 +898,99 @@ def test_chain_split_adversarial_bases(bid1_at_m):
             basis[-1] = col(3, (action + 1) % prob.n_actions)
             accepted += assert_chain_parity(problem, basis_layout(problem, basis))
     assert accepted >= 2 * prob.n_actions
-    # a duplicate column, pivot or border, is exactly singular
-    basis = _chain_basis(prob, 1)
-    for dup in (col(3, 1), col(1, 1)):
-        layout = basis_layout(prob, basis[:-1] + [dup])
-        assert not assert_chain_parity(prob, layout)
-        assert verify_basis_values(prob, layout, dual_tol=np.inf) is None
+    # a duplicate column, pivot or border, is exactly singular, with state 4
+    # holding a column or not
+    for basis in (_chain_basis(prob, 1), uncovered_basis(prob, col, (4,))):
+        for dup in (col(3, 1), col(1, 1)):
+            layout = basis_layout(prob, basis[:-1] + [dup])
+            assert not assert_chain_parity(prob, layout)
+            assert verify_basis_values(prob, layout, dual_tol=np.inf) is None
     # two state-1 columns whose multipliers have W and P a gap apart: the
     # Schur complement is singular at gap 0, near-singular at 1e-14 and
-    # regular at 1e-3
+    # regular at 1e-3, whether it is 3 x 3 or, without state 4, 4 x 4
     for gap, regular in ((0.0, False), (1e-14, False), (1e-3, True)):
         w, p = prob.w.copy(), prob.p.copy()
         w[2], p[2] = w[1] + gap, p[1] + gap
         problem = prob.with_curves(w, p)
-        layout = basis_layout(problem, _chain_basis(problem, 1)[:-1] + [col(1, 2)])
-        assert assert_chain_parity(problem, layout) == regular
+        bases = ((_chain_basis(problem, 1), 3), (uncovered_basis(problem, col, (4,)), 4))
+        for basis, border in bases:
+            layout = basis_layout(problem, basis[:-1] + [col(1, 2)])
+            assert layout.chain.new_col.shape[0] - layout.chain.n == border
+            assert assert_chain_parity(problem, layout) == regular
 
 
-def test_layouts_missing_a_chain_state_take_the_getrf_route(monkeypatch):
+def uncovered_basis(prob, col, missing):
+    """The chain of action 1 whose states in `missing` (not adjacent, and
+    above 2) give their column to a second one of the state before,
+    playing action 2."""
+    basis = _chain_basis(prob, 1)
+    for state in missing:
+        basis[state - 1] = col(state - 1, 2)
+    return basis
+
+
+def test_layouts_missing_chain_states_go_through_the_split(monkeypatch):
+    # a state 2..m-1 without a column moves its own row to the border, so
+    # every square basis splits; the only LU is of the (3 + k) x (3 + k)
+    # Schur complement, for k states missing, and the whole basis when
+    # m <= 2 leaves no flow row to pivot on
     prob, col = chain_problem()
-    covered = _chain_basis(prob, 1)
-    uncovered = list(covered)
-    uncovered[2] = col(1, 2)  # state 3 loses its only column
-    assert basis_layout(prob, covered).chain is not None
-    assert basis_layout(prob, uncovered).chain is None
-    for m in (1, 2):  # no chain rows
-        small = occupancy_problem((prob.mus, prob.w, prob.p), sqrt_reward(), m, 0.3, False)
-        assert basis_layout(small, _chain_basis(small, 1)[-small.n_rows:]).chain is None
-    calls = []
-    primal_values = benchmark._primal_values
+    three, _ = chain_problem(m=3)
+    cases = [(prob, _chain_basis(prob, 1), 3)]
+    cases += [(prob, uncovered_basis(prob, col, missing), 3 + len(missing))
+              for missing in ((3,), (4,), (5,), (3, 5))]
+    # m = 3 has one chain state; it gives its column to state 1
+    cases.append((three, _chain_basis(three, 1)[:1] + [2] + _chain_basis(three, 1)[2:], 4))
+    for m in (1, 2):
+        small, _ = chain_problem(m=m)
+        cases += [(small, basis, small.n_rows) for basis in _crash_bases(small)]
+    shapes = []
+    getrf = benchmark._getrf
     monkeypatch.setattr(
-        benchmark, "_primal_values", lambda *args: calls.append(1) or primal_values(*args))
-    for basis, lu_calls in ((covered, []), (uncovered, [1])):
-        got = verify_basis_values(prob, basis_layout(prob, basis), np.inf, np.inf)
-        want = lu_factor_route(prob, basis, _objective_coeffs(prob, basis), np.inf, np.inf)
-        assert calls == lu_calls
+        benchmark, "_getrf", lambda a, **kw: shapes.append(a.shape) or getrf(a, **kw))
+    for problem, basis, border in cases:
+        layout = basis_layout(problem, basis)
+        assert isinstance(layout.chain, ChainSplit)
+        assert layout.chain.n == problem.n_rows - border
+        shapes.clear()
+        got = verify_basis_values(problem, layout, np.inf, np.inf)
+        assert shapes == [(border, border)]
+        want = lu_factor_route(
+            problem, basis, _objective_coeffs(problem, basis), np.inf, np.inf)
         assert got is not None and want is not None
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+        assert assert_chain_parity(problem, layout)
+
+
+def test_uncovered_wide_market_bases_match_the_lu_route(monkeypatch):
+    # on the 500-atom market at T=300, seeds 1-4, 301 of the 1,371 bases the
+    # planner checks lack a column of a deep-tail state; seeds 2 and 4 hold
+    # 293 of them
+    from test_fkors import wide_runs
+
+    verify = fkors.verify_basis_values
+    captured = []
+
+    def capture(prob, layout, **kwargs):
+        got = verify(prob, layout, **kwargs)
+        captured.append((prob, layout, kwargs, got))
+        return got
+
+    monkeypatch.setattr(fkors, "verify_basis_values", capture)
+    wide_runs((2, 4))
+    uncovered = [c for c in captured if c[1].chain.n < c[0].n_rows - 3]
+    assert len(uncovered) > 0.3 * len(captured)
+    accepted = 0
+    for prob, layout, kwargs, got in uncovered:
+        ids = layout.ids.tolist()
+        want = lu_factor_route(
+            prob, ids, _objective_coeffs(prob, ids), kwargs["primal_tol"], kwargs["dual_tol"])
+        assert (got is None) == (want is None)
+        if got is not None:
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+            accepted += 1
+        assert_chain_parity(prob, layout)
+    assert len(uncovered) > 100 and accepted > 0
 
 
 def test_import_leaves_linalg_warnings_alone():

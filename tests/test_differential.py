@@ -23,15 +23,13 @@ from scipy.sparse import coo_matrix
 from spacing_auctions import benchmark, fkors
 from spacing_auctions.benchmark import (
     InfeasibleOccupancyError,
-    _basic_values,
     _basis_matrix,
     _chain_basis,
     _column,
     _crash_bases,
+    _dense_inverse,
     _dual_phase,
-    _inverse,
     _objective_coeffs,
-    _primal_values,
     _update_inverse,
     occupancy_problem,
     solve_occupancy_problem,
@@ -49,7 +47,7 @@ from spacing_auctions.market import (
 from spacing_auctions.rewards import cap_linear_reward, sqrt_reward
 from spacing_auctions.rng import SplitMix64
 from dense_pricing import reduced_costs
-from test_benchmark import GRID, problem_on, random_problem
+from test_benchmark import GRID, problem_on, random_problem, split_check
 from test_fkors import wide_market
 
 # HiGHS works to primal and dual feasibility tolerances of 1e-7
@@ -93,7 +91,7 @@ def highs(prob, objective=True):
 
 def dual_restarted(prob, starts, sol):
     """Whether `sol` began from starts[0] through the dual phase."""
-    return sol.start == 0 and _basic_values(prob, _basis_matrix(prob, starts[0]))[0].min() < -1e-9
+    return sol.start == 0 and split_check(prob, starts[0])[0].min() < -1e-9
 
 
 @pytest.fixture(scope="module")
@@ -217,7 +215,7 @@ def full_width_dual_phase(prob, basis, tol):
     the pricing identity A^T z = -reduced_costs(z, phase1) and reduced costs
     carried across pivots, clipped at zero."""
     B = _basis_matrix(prob, basis)
-    b_inv = _inverse(B)
+    b_inv = _dense_inverse(B)
     x_b = b_inv @ prob.b
     basic = np.zeros(prob.n_cols + 1, dtype=bool)
     basic[basis] = True
@@ -225,7 +223,7 @@ def full_width_dual_phase(prob, basis, tol):
     for _ in range(4 * prob.n_rows):
         leave = int(np.argmin(x_b))
         if x_b[leave] >= -tol:
-            return _primal_values(prob, B, tol) is not None
+            return split_check(prob, basis, tol) is not None
         row = -reduced_costs(prob, b_inv[leave], phase1=True)
         cand = np.nonzero((row < -1e-9) & ~basic)[0]
         if cand.size == 0:
@@ -236,7 +234,7 @@ def full_width_dual_phase(prob, basis, tol):
         a_j = _column(prob, j)
         direction = b_inv @ a_j
         if np.abs(B @ direction - a_j).max() > 1e-8 or abs(direction[leave]) < 1e-9:
-            b_inv = _inverse(B)
+            b_inv = _dense_inverse(B)
             x_b = b_inv @ prob.b
             continue
         d = np.minimum(d - d[j] / row[j] * row, 0.0)
@@ -256,13 +254,12 @@ def test_neighbour_pricing_keeps_the_restarts_full_pricing_makes(captured):
     # the captured programs it must succeed where pricing every column does
     full = neighbour = 0
     for prob, starts, _ in captured:
-        values = _basic_values(prob, _basis_matrix(prob, starts[0])) if starts else None
+        values = split_check(prob, starts[0]) if starts else None
         if values is None or values[0].min() >= -1e-9:
             continue
         ok = full_width_dual_phase(prob, list(starts[0]), 1e-9)
         full += ok
-        start = (_basis_matrix(prob, starts[0]), *values)
-        neighbour += ok and _dual_phase(prob, list(starts[0]), start, 1e-9) is not None
+        neighbour += ok and _dual_phase(prob, list(starts[0]), _basis_matrix(prob, starts[0]), 1e-9)
     print(f"{neighbour} of {full} restarts")
     assert full >= 20
     assert neighbour >= 0.95 * full
@@ -277,11 +274,10 @@ def test_a_start_whose_entering_column_is_no_neighbour_falls_back_to_a_crash_ver
     p = np.array([0.9, 0.95, 0.8, 0.85, 0.0])
     prob = occupancy_problem((mus, w, p), sqrt_reward(), 2, 0.5, False)
     start = [2, prob.n_actions + 2, prob.slack_id]
-    assert _basic_values(prob, _basis_matrix(prob, start))[0].min() < -0.1
+    assert split_check(prob, start)[0].min() < -0.1
     assert full_width_dual_phase(prob, list(start), 1e-9)
-    assert _dual_phase(
-        prob, list(start), _primal_values(prob, _basis_matrix(prob, start), np.inf), 1e-9) is None
-    assert _primal_values(prob, _basis_matrix(prob, _crash_bases(prob)[0]), 1e-9) is not None
+    assert not _dual_phase(prob, list(start), _basis_matrix(prob, start), 1e-9)
+    assert split_check(prob, _crash_bases(prob)[0], 1e-9) is not None
     sol = solve_occupancy_problem(prob, starts=[start])
     assert sol.start == -1
     assert sol.objective == pytest.approx(highs(prob), abs=HIGHS_TOL)
@@ -331,7 +327,7 @@ def test_dual_restarts_on_adversarial_markets_match_highs(name):
                 # program infeasible
                 prob = problem(market, reward, m, edge * (1 - 1e-3))
                 assert highs(prob) is None
-                assert _basic_values(prob, _basis_matrix(prob, start)) is not None
+                assert split_check(prob, start) is not None
                 with pytest.raises(InfeasibleOccupancyError):
                     solve_occupancy_problem(prob, starts=[start])
     assert restarts >= 10
@@ -410,7 +406,9 @@ def test_all_skip_chain_is_nonsingular_and_only_its_slack_can_be_negative(
     prob = problem_on(market, m, bid1_at_m, rho)
     basis = _crash_bases(prob)[-1]
     assert basis == _chain_basis(prob, prob.skip_idx)
-    x_b, lu, _ = _basic_values(prob, _basis_matrix(prob, basis))
+    # the split's A is unit triangular, so |det B| is that of the Schur
+    # complement, the product of its |U diagonal|
+    x_b, (*_, lu, _) = split_check(prob, basis)
     w1, p1 = prob.w[prob.bid1_idx], prob.p[prob.bid1_idx]
     q_m = 1.0 / (1.0 + (m - 1) * w1)
     assert np.prod(np.abs(lu.diagonal())) == pytest.approx(1.0 + (m - 1) * w1, rel=1e-12)

@@ -355,7 +355,7 @@ def test_cached_basis_remaps_onto_a_grown_candidate_set():
             grown.p * (1 + 0.05 * (rng.uniform() - 0.5)),
         )
         for basis in [solve_occupancy_problem(small).basis] + _crash_bases(small):
-            entry = _CachedBasis(small, basis)
+            entry = _CachedBasis(small, basis_layout(small, basis))
             want = column_pairs(small, entry.layout.ids)
             chain = entry.layout.chain
             entry.remap(grown)
@@ -371,14 +371,13 @@ def test_cached_basis_remaps_onto_a_grown_candidate_set():
             slack = np.asarray(basis) == small.slack_id
             assert np.array_equal(entry.layout.ids == grown.slack_id, slack)
             assert entry.layout.chain is chain
-            if chain is not None:
-                assert np.array_equal(chain.flat, ChainSplit.of(fresh).flat)
-                assert np.array_equal(chain.new_col, ChainSplit.of(fresh).new_col)
+            assert np.array_equal(chain.flat, ChainSplit.of(fresh).flat)
+            assert np.array_equal(chain.new_col, ChainSplit.of(fresh).new_col)
         # a basis playing a multiplier the small set lacks has no ids there
         for action, mu in enumerate(grown.mus.tolist()):
             if mu in small.mus.tolist():
                 continue
-            entry = _CachedBasis(grown, _chain_basis(grown, action))
+            entry = _CachedBasis(grown, basis_layout(grown, _chain_basis(grown, action)))
             entry.remap(small)
             assert entry.layout is None
             dropped += 1
@@ -516,20 +515,70 @@ def test_large_market_is_pinned():
     assert got == ("1777.8725772914695", 473, 471, 727)
 
 
+def pinned(rec):
+    """(utility_true by repr, cold_solves, warm_starts, reused_plans)."""
+    c = rec.config
+    return repr(rec.utility_true), c["cold_solves"], c["warm_starts"], c["reused_plans"]
+
+
+def small_budget_run():
+    """FKORS seed 1 on the README's uniform_grid K=50 config at rho=0.05 and
+    T=8000, where m = ceil(2 ln T / (c_bar rho)) is 360."""
+    market = market_from_config({"type": "uniform_grid", "K": 50})
+    cfg = FkorsConfig.from_defaults(0.05, 8000, mean_conversion(market), seed=1)
+    assert cfg.m == 360
+    return run_fkors(market, sqrt_reward(), cfg)
+
+
+@pytest.mark.slow
+def test_small_budget_run_is_pinned():
+    # the paper holds rho fixed as T grows; a small budget makes the chain,
+    # and the basis, four times the default run's
+    assert pinned(small_budget_run()) == ("4061.8741973518313", 91, 90, 2297)
+
+
+@pytest.mark.slow
+def test_wide_grid_run_is_pinned():
+    # acceptance criterion 8's K=1000 cap_linear instance, seed 3: epochs
+    # of under two rounds, so about 18,000 cache checks for 13 solves
+    market = market_from_config({"type": "uniform_grid", "K": 1000})
+    rho = math.sqrt(3.0) - 1.5
+    cfg = FkorsConfig.from_defaults(rho, 32000, mean_conversion(market), seed=3)
+    assert cfg.m == 90
+    assert pinned(run_fkors(market, cap_linear_reward(2), cfg)) == ("31900.0", 13, 12, 18195)
+
+
 def test_each_cached_basis_is_derived_once(monkeypatch):
     # a basis's layout entries and chain split depend only on its columns'
     # states and multipliers, so a change of the candidate set re-keys the
-    # cached bases instead of deriving them again
-    layouts, splits = [], []
-    make_layout, split_of = fkors.basis_layout, ChainSplit.of
-    monkeypatch.setattr(
-        fkors, "basis_layout", lambda *args: layouts.append(1) or make_layout(*args))
-    monkeypatch.setattr(
-        ChainSplit, "of", staticmethod(lambda layout: splits.append(1) or split_of(layout)))
+    # cached bases instead of deriving them again.  The solver derives the
+    # final basis's layout and split, and hands them to the cache, so the
+    # planner derives none
+    derived = {"solver": 0, "planner": 0}
+    where = ["planner"]
+    make_layout, split_of = benchmark.basis_layout, ChainSplit.of
+    solve = fkors.solve_occupancy_problem
+
+    def count(fn):
+        def counted(*args):
+            derived[where[-1]] += 1
+            return fn(*args)
+        return counted
+
+    def solving(prob, starts=()):
+        where.append("solver")
+        try:
+            return solve(prob, starts)
+        finally:
+            where.pop()
+
+    monkeypatch.setattr(benchmark, "basis_layout", count(make_layout))
+    monkeypatch.setattr(fkors, "basis_layout", count(make_layout), raising=False)
+    monkeypatch.setattr(ChainSplit, "of", staticmethod(count(split_of)))
+    monkeypatch.setattr(fkors, "solve_occupancy_problem", solving)
     (rec,) = wide_runs((1,))
-    cold = rec.config["cold_solves"]
-    assert len(splits) <= cold
-    assert len(layouts) == cold
+    assert derived["planner"] == 0
+    assert derived["solver"] >= 2 * rec.config["cold_solves"]
 
 
 def test_miss_starts_are_screened_without_a_basis_matrix(monkeypatch):
@@ -588,4 +637,25 @@ def test_wide_market_runs_do_not_depend_on_blas_threads():
         for threads in ("1", "2")
     ]
     assert outputs[0].startswith("[('")
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.slow
+def test_small_budget_run_does_not_depend_on_blas_threads():
+    # 361 rows: scipy's getrf gives other bits with two OpenBLAS threads
+    # than with one on random matrices from about 150 rows on
+    src = str(Path(spacing_auctions.__file__).resolve().parents[1])
+    code = (
+        "import sys; sys.path[:0] = sys.argv[1:]; from test_fkors import pinned, small_budget_run; "
+        "print(pinned(small_budget_run()))"
+    )
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", code, src, str(Path(__file__).resolve().parent)],
+            env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+            capture_output=True, text=True, check=True, timeout=600,
+        ).stdout
+        for threads in ("1", "2")
+    ]
+    assert outputs[0].startswith("('4061.")
     assert outputs[0] == outputs[1]
