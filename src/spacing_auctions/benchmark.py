@@ -43,17 +43,18 @@ Two solution paths exist on purpose:
   slack from the last of them, the all-skip chain, whose other basic
   values are never negative; it needs no artificial column, and it proves
   the program infeasible when the slack stays negative.  A start may be a
-  ``basis_layout``; every start is checked by its chain split, and only
-  the start the simplex pivots from is filled into a matrix.  The primal
+  ``basis_layout``; every start is checked by its chain split, and the
+  simplex pivots from the factors of the check that accepted it.  The primal
   loop's entering column is the first maximum over every nonbasic
   column, found by pricing each state at its threshold
   (``_threshold_pricing``): on a market's curves a state's reduced costs
   peak at the first multiplier with mu >= y_budget / a_l, the bid rule
   min(1, c / mu) applied to the duals.  So each solution is certified
   optimal on the full program.  Bland's rule, the first nonbasic id above
-  the tolerance, prices every action of the one state that holds it.  Each
-  loop forms the explicit inverse of its basis matrix by one LAPACK LU
-  (``_dense_inverse``); the solution's x_B comes from the chain split of
+  the tolerance, prices every action of the one state that holds it.  Both
+  loops keep the explicit inverse of their basis (``_Pivots``), formed
+  from a chain split's factors (``ChainSplit.inverse``) at the start and at
+  each refactorization; the solution's x_B comes from the chain split of
   the final basis, and the solution hands back that basis's layout.
   ``verify_basis`` re-checks a stored basis against fresh coefficients,
   letting the learner keep its policy when it is still optimal; only when
@@ -367,19 +368,6 @@ def basis_layout(prob: OccupancyProblem, basis: Sequence[int]) -> BasisLayout:
     return BasisLayout(R, ids, rows + cols * R, src, const, coef, struct, states, actions)
 
 
-def _basis_matrix(prob: OccupancyProblem, basis: Sequence[int]) -> np.ndarray:
-    """Columns of the reduced system for the given ids, filled from their
-    ``basis_layout`` (C-ordered, as the simplex's products expect)."""
-    return _layout_matrix(prob, basis_layout(prob, basis))
-
-
-def _layout_matrix(prob: OccupancyProblem, layout: BasisLayout) -> np.ndarray:
-    """The matrix `layout` fills for `prob` (C-ordered)."""
-    return np.ascontiguousarray(
-        layout.fill(prob, np.zeros((prob.n_rows, layout.ids.shape[0]), order="F"))
-    )
-
-
 def _column(prob: OccupancyProblem, col: int) -> np.ndarray:
     """Single constraint column (scalar fast path for the pivot loop)."""
     a = np.zeros(prob.n_rows)
@@ -636,6 +624,17 @@ class ChainSplit:
         x_z, _ = _getrs(lu, piv, b[self.border])
         return np.concatenate((-(g_solved @ x_z), x_z))[self.new_col]
 
+    def inverse(self, factors: tuple) -> np.ndarray:
+        """B^-1 in basis order (C-ordered) from ``factor``'s factors: A^-1 by
+        tbtrs and S^-1 by getrs on the identity, X = S^-1 (Dp A^-1), then
+        the blocks [[A^-1 + (A^-1 G) X, -(A^-1 G) S^-1], [-X, S^-1]]."""
+        ab, dp, g_solved, lu, piv = factors
+        s_inv, _ = _getrs(lu, piv, np.eye(lu.shape[0]))
+        a_inv, _ = _tbtrs(ab, np.eye(self.n), uplo="L", diag="U")
+        x = s_inv @ (dp @ a_inv)
+        inv = np.block([[a_inv + g_solved @ x, -(g_solved @ s_inv)], [-x, s_inv]])
+        return inv[np.ix_(self.new_col, self.new_row)]
+
     def primal(
         self, prob: OccupancyProblem, layout: BasisLayout, primal_tol: float
     ) -> Optional[tuple[np.ndarray, tuple]]:
@@ -811,50 +810,94 @@ def _entering_column(
     return j
 
 
-def _simplex_loop(
-    prob: OccupancyProblem, basis: list[int], B: np.ndarray, phase1: bool, tol: float
-) -> tuple[BasisLayout, np.ndarray, tuple]:
-    """Revised primal simplex from a feasible basis and its matrix B
-    (C-ordered), both pivoted in place; returns the final basis's layout,
-    x_B clipped at zero, and the factors of its split.
+_Start = tuple[BasisLayout, tuple]  # a layout and the factors of the split that checked it
 
-    The explicit basis inverse (``_dense_inverse``) is maintained in product
-    form with periodic refactorization; the final x_B comes from the split
-    of the final basis.  Entering columns follow
-    Dantzig's rule (first maximum, deterministic; ``_entering_column``)
-    until a long streak of degenerate steps, after which the loop switches
-    to Bland's rule for guaranteed termination.  Phase 1 maximizes the
-    slack: it costs 1 and every other column 0.
+
+class _Pivots:
+    """The basis a simplex loop pivots from a ``_Start``: its ids, their
+    matrix B (C-ordered, filled once, for the drift check), the explicit
+    inverse B^-1 (``ChainSplit.inverse``), x_B, the costs c_B (phase 1: 1
+    for the slack, 0 otherwise), the mask of basic columns among ids
+    0..slack_id and the count of product-form updates since B^-1 was formed."""
+
+    def __init__(self, prob: OccupancyProblem, start: _Start, phase1: bool = False):
+        layout, factors = start
+        self.prob = prob
+        self.ids = layout.ids.copy()
+        self.B = np.ascontiguousarray(layout.fill(prob, np.zeros((prob.n_rows,) * 2, order="F")))
+        self.inv = layout.chain.inverse(factors)
+        self.x_b = self.inv @ prob.b
+        self.updates = 0
+        self.cb = ((self.ids == prob.slack_id).astype(float) if phase1
+                   else _objective_coeffs(prob, self.ids))
+        self.basic = np.zeros(prob.n_cols + 1, dtype=bool)
+        self.basic[self.ids] = True
+
+    def refactor(self, clip: bool = False) -> None:
+        """Form B^-1 again from the split of the current basis (``_split``),
+        and x_B, clipped at zero if `clip`."""
+        layout, factors = _split(self.prob, self.ids)
+        self.inv = layout.chain.inverse(factors)
+        self.x_b = self.inv @ self.prob.b
+        self.updates = 0
+        if clip:
+            np.maximum(self.x_b, 0.0, out=self.x_b)
+
+    def pivot(self, leave: int, j: int, a_j, direction, theta, cost) -> None:
+        """Column j, with constraint column a_j and B^-1 image `direction`,
+        replaces basis position `leave` at step theta, with basis cost
+        `cost`; B^-1 takes a product-form update (``_update_inverse``)."""
+        self.x_b -= theta * direction
+        self.x_b[leave] = theta
+        self.basic[self.ids[leave]] = False
+        self.basic[j] = True
+        self.ids[leave] = j
+        self.cb[leave] = cost
+        self.B[:, leave] = a_j
+        _update_inverse(self.inv, direction, leave)
+        self.updates += 1
+
+
+def _split(prob: OccupancyProblem, ids: np.ndarray) -> _Start:
+    """(layout, ``ChainSplit.factor``'s factors) of the basis ids; raises
+    LinAlgError when the Schur complement has an exactly zero pivot."""
+    layout = basis_layout(prob, ids)
+    factors = layout.chain.factor(prob, layout)
+    if not factors[3].diagonal().all():
+        raise np.linalg.LinAlgError("Singular matrix")
+    return layout, factors
+
+
+def _simplex_loop(
+    prob: OccupancyProblem, start: _Start, phase1: bool, tol: float
+) -> tuple[BasisLayout, np.ndarray, tuple]:
+    """Revised primal simplex from a feasible ``_Start``; returns the final
+    basis's layout, x_B clipped at zero, and the factors of its split.
+
+    The pivots (``_Pivots``) begin from the start's block inverse and update
+    it in product form.  Every 64 pivots, and when it drifts, the inverse is
+    formed again from the split of the current basis, with x_B clipped at
+    zero; the final x_B comes from the split of the final basis.  Entering
+    columns follow Dantzig's rule (first maximum, deterministic;
+    ``_entering_column``) until a long streak of degenerate steps, after
+    which the loop switches to Bland's rule for guaranteed termination.
+    Phase 1 maximizes the slack: it costs 1 and every other column 0.
     """
     R = prob.n_rows
-    b = prob.b
-    b_inv = _dense_inverse(B)
-    x_b = b_inv @ b
-    refactor_left = 64
+    pv = _Pivots(prob, start, phase1)
     bland = False
     stall = 0
-    # basis ids, their objective coefficients and the mask of basic columns
-    # are maintained incrementally across pivots
-    basis_arr = np.asarray(basis, dtype=int)
-    if phase1:
-        cb = (basis_arr == prob.slack_id).astype(float)
-    else:
-        cb = _objective_coeffs(prob, basis)
-    basic = np.zeros(prob.n_cols + 1, dtype=bool)
-    basic[basis_arr] = True
     for _ in range(_MAX_PIVOTS):
-        j = _entering_column(prob, b_inv.T @ cb, basic, phase1, bland, tol)
+        j = _entering_column(prob, pv.inv.T @ pv.cb, pv.basic, phase1, bland, tol)
         if j < 0:
             break
         a_j = _column(prob, j)
-        direction = b_inv @ a_j
-        if float(np.max(np.abs(B @ direction - a_j))) > 1e-8:
+        direction = pv.inv @ a_j
+        if float(np.max(np.abs(pv.B @ direction - a_j))) > 1e-8:
             # the product-form inverse drifted: refactorize and recompute
-            b_inv = _dense_inverse(B)
-            x_b = np.maximum(b_inv @ b, 0.0)
-            refactor_left = 64
-            direction = b_inv @ a_j
-        leave = _ratio_test(x_b, direction, basis_arr, bland)
+            pv.refactor(clip=True)
+            direction = pv.inv @ a_j
+        leave = _ratio_test(pv.x_b, direction, pv.ids, bland)
         if leave < 0:
             raise RuntimeError("occupancy LP unbounded; the mass row should prevent this")
         piv = float(direction[leave])
@@ -862,58 +905,29 @@ def _simplex_loop(
             # numerically unreliable pivot: refresh the factorization and
             # retry from exact data; if the refreshed entry is still tiny,
             # price again with the refreshed inverse
-            b_inv = _dense_inverse(B)
-            x_b = np.maximum(b_inv @ b, 0.0)
-            refactor_left = 64
-            direction = b_inv @ a_j
+            pv.refactor(clip=True)
+            direction = pv.inv @ a_j
             if float(direction[leave]) < 1e-9:
                 continue
-            leave = _ratio_test(x_b, direction, basis_arr, bland=False, slack=tol)
+            leave = _ratio_test(pv.x_b, direction, pv.ids, bland=False, slack=tol)
             if leave < 0:
                 raise RuntimeError("occupancy LP unbounded after refresh")
             piv = float(direction[leave])
-        theta = max(float(x_b[leave] / piv), 0.0)
+        theta = max(float(pv.x_b[leave] / piv), 0.0)
         if theta <= 1e-13:
             stall += 1
             if stall >= 2 * R and not bland:
                 bland = True
         else:
             stall = 0
-        x_b -= theta * direction
-        x_b[leave] = theta
-        basic[basis_arr[leave]] = False
-        basic[j] = True
-        basis_arr[leave] = j
-        basis[leave] = j
-        cb[leave] = 0.0 if phase1 else _objective_coeff_one(prob, j)
-        B[:, leave] = a_j
-        refactor_left -= 1
-        if refactor_left <= 0:
-            b_inv = _dense_inverse(B)
-            x_b = np.maximum(b_inv @ b, 0.0)
-            refactor_left = 64
-        else:
-            _update_inverse(b_inv, direction, leave)
+        pv.pivot(leave, j, a_j, direction, theta, 0.0 if phase1 else _objective_coeff_one(prob, j))
+        if pv.updates >= 64:
+            pv.refactor(clip=True)
     else:
         raise RuntimeError("occupancy simplex pivot limit exceeded")
     # refresh the solution from a clean factorization before returning
-    layout = basis_layout(prob, basis)
-    factors = layout.chain.factor(prob, layout)
-    if not factors[3].diagonal().all():
-        raise np.linalg.LinAlgError("Singular matrix")
-    return layout, np.maximum(layout.chain.x_b(factors, b), 0.0), factors
-
-
-def _dense_inverse(B: np.ndarray) -> np.ndarray:
-    """B^-1 (C-ordered) through LAPACK getrf and getrs on the identity;
-    raises LinAlgError when getrf meets an exactly zero pivot.  The one
-    factorization of a whole basis matrix, kept for the simplex loops: their
-    product-form pivots from the split's block inverse reached other optimal
-    vertices of degenerate programs."""
-    lu, piv, info = _getrf(B)
-    if info > 0:
-        raise np.linalg.LinAlgError("Singular matrix")
-    return np.ascontiguousarray(_getrs(lu, piv, np.eye(B.shape[0]))[0])
+    layout, factors = _split(prob, pv.ids)
+    return layout, np.maximum(layout.chain.x_b(factors, prob.b), 0.0), factors
 
 
 def _update_inverse(b_inv: np.ndarray, direction: np.ndarray, leave: int) -> None:
@@ -945,9 +959,9 @@ def _neighbour_offsets(prob: OccupancyProblem) -> np.ndarray:
     ))
 
 
-def _dual_phase(prob: OccupancyProblem, basis: list[int], B: np.ndarray, tol: float) -> bool:
-    """Dual simplex pivots on `basis` and its matrix B (nonsingular, primal
-    infeasible), both in place, until the basis is primal feasible.
+def _dual_phase(prob: OccupancyProblem, start: _Start, tol: float) -> Optional[_Start]:
+    """Dual simplex pivots from a nonsingular, primal-infeasible ``_Start``
+    until the basis is primal feasible.
 
     Meant for a recently optimal basis that the new program's coefficients
     made primal infeasible: its reduced costs are near dual feasible, so a
@@ -968,64 +982,50 @@ def _dual_phase(prob: OccupancyProblem, basis: list[int], B: np.ndarray, tol: fl
     e_r^T B^-1 N.  The ratio test runs over live, nonbasic slots with a
     row entry below -1e-9 and breaks ties by the largest |entry|.
 
-    The basis inverse is `_simplex_loop`'s: explicit, with product-form
-    updates and a drift check.  Returns whether the basis is handed over,
-    which it is only if its split passes the check a primal-feasible start
-    passes.  On False (the basis is then of no use, and the caller starts
-    from its crash vertices) the basis is singular, a row has no negative
-    entry among the neighbours (the program is infeasible, or the start too
-    far off) or 4 pivots per row were spent.
+    The pivots are `_simplex_loop`'s (``_Pivots``), formed again from the
+    split of the current basis when they drift.  Returns the basis handed
+    over, with its split's factors, only if that split passes the check a
+    primal-feasible start passes.  On None (the start is then of no use,
+    and the caller starts from its crash vertices) the basis is singular, a
+    row has no negative entry among the neighbours (the program is
+    infeasible, or the start too far off) or 4 pivots per row were spent.
     """
     R = prob.n_rows
-    b = prob.b
-    b_inv = _dense_inverse(B)
-    x_b = b_inv @ b
-    cb = _objective_coeffs(prob, basis)
-    basic = np.zeros(prob.n_cols + 1, dtype=bool)
-    basic[basis] = True
+    pv = _Pivots(prob, start)
     n = prob.n_actions
     table = _neighbour_offsets(prob)
     lo, hi = table.tolist()  # for the per-pivot refill
     # columns from `paired` on (state m's forced bid-1, the slack) have none
     paired = prob.n_cols - 1 if prob.bid1_at_m else prob.n_cols
-    ids = np.asarray(basis, dtype=int)
-    offsets = np.where(ids < paired, table[:, ids % n], 0).ravel()
+    offsets = np.where(pv.ids < paired, table[:, pv.ids % n], 0).ravel()
     live = np.append(offsets != 0, True)
-    ids = np.append(np.where(live[:-1], np.tile(ids, 2) + offsets, prob.slack_id), prob.slack_id)
+    ids = np.append(np.where(live[:-1], np.tile(pv.ids, 2) + offsets, prob.slack_id), prob.slack_id)
     N = basis_layout(prob, ids).fill(prob, np.zeros((R, 2 * R + 1), order="F"))
     c_n = _objective_coeffs(prob, ids)
     for _ in range(4 * R):
-        leave = int(np.argmin(x_b))
-        if x_b[leave] >= -tol:
-            layout = basis_layout(prob, basis)
-            return layout.chain.primal(prob, layout, tol) is not None
-        row = b_inv[leave] @ N
-        cand = np.flatnonzero((row < -1e-9) & live & ~basic[ids])
+        leave = int(np.argmin(pv.x_b))
+        if pv.x_b[leave] >= -tol:
+            layout = basis_layout(prob, pv.ids)
+            checked = layout.chain.primal(prob, layout, tol)
+            return None if checked is None else (layout, checked[1])
+        row = pv.inv[leave] @ N
+        cand = np.flatnonzero((row < -1e-9) & live & ~pv.basic[ids])
         if cand.size == 0:
-            return False
-        d = np.minimum(c_n - (b_inv.T @ cb) @ N, 0.0)
+            return None
+        d = np.minimum(c_n - (pv.inv.T @ pv.cb) @ N, 0.0)
         ratios = d[cand] / row[cand]
         tie = cand[ratios <= ratios.min() + 1e-15]
         k = int(tie[np.argmin(row[tie])])
         j = int(ids[k])
         a_j = N[:, k]
-        direction = b_inv @ a_j
-        if float(np.max(np.abs(B @ direction - a_j))) > 1e-8 or abs(direction[leave]) < 1e-9:
+        direction = pv.inv @ a_j
+        if float(np.max(np.abs(pv.B @ direction - a_j))) > 1e-8 or abs(direction[leave]) < 1e-9:
             try:
-                b_inv = _dense_inverse(B)
+                pv.refactor()
             except np.linalg.LinAlgError:
-                return False
-            x_b = b_inv @ b
+                return None
             continue
-        theta_p = x_b[leave] / direction[leave]
-        x_b -= theta_p * direction
-        x_b[leave] = theta_p
-        basic[basis[leave]] = False
-        basic[j] = True
-        basis[leave] = j
-        cb[leave] = c_n[k]
-        B[:, leave] = a_j
-        _update_inverse(b_inv, direction, leave)
+        pv.pivot(leave, j, a_j, direction, pv.x_b[leave] / direction[leave], c_n[k])
         # the entering column's neighbours share its state
         state, action = divmod(j, n)
         for slot, offset in ((leave, lo[action]), (R + leave, hi[action])):
@@ -1036,12 +1036,12 @@ def _dual_phase(prob: OccupancyProblem, basis: list[int], B: np.ndarray, tol: fl
                 column[:] = 0.0
                 _write_column(prob, column, state + 1, action + offset)
                 c_n[slot] = prob.objective(state + 1, action + offset)
-    return False
+    return None
 
 
-def _phase1(prob: OccupancyProblem, tol: float) -> tuple[list[int], np.ndarray]:
-    """A primal-feasible basis and its matrix, pivoted from the all-skip
-    chain; raises ``InfeasibleOccupancyError`` when `prob` has none.
+def _phase1(prob: OccupancyProblem, tol: float) -> _Start:
+    """A primal-feasible ``_Start`` pivoted from the all-skip chain; raises
+    ``InfeasibleOccupancyError`` when `prob` has none.
 
     The all-skip chain (skip in states 1..m-1, bid 1 in state m) is
     nonsingular on every market: its flow block is unit bidiagonal, and the
@@ -1054,18 +1054,16 @@ def _phase1(prob: OccupancyProblem, tol: float) -> tuple[list[int], np.ndarray]:
     leaves: a column entering at reduced cost d_j has the entry -d_j in its
     row.  B^-1 e_budget is the slack's unit vector, so lowering the budget
     back moves the slack alone: the final basis is feasible for `prob`
-    exactly when its slack is, which the final split solves for.
+    exactly when its slack is, which the loop's final split solves for.
     """
-    basis = _chain_basis(prob, prob.skip_idx)
-    layout = basis_layout(prob, basis)
-    x_b, _ = layout.chain.primal(prob, layout, np.inf)
+    layout = basis_layout(prob, _chain_basis(prob, prob.skip_idx))
+    x_b, factors = layout.chain.primal(prob, layout, np.inf)
     twin = replace(prob, rho=prob.rho - x_b[-1])
-    B = _layout_matrix(prob, layout)
-    layout, _, factors = _simplex_loop(twin, basis, B, phase1=True, tol=tol)
+    layout, _, factors = _simplex_loop(twin, (layout, factors), phase1=True, tol=tol)
     x_b = layout.chain.x_b(factors, prob.b)
     if abs(factors[3].diagonal()).min() < 1e-13 or not np.isfinite(x_b).all():
         raise RuntimeError("phase 1 ended on a singular basis")
-    slack = float(x_b[basis.index(prob.slack_id)])
+    slack = float(x_b[layout.ids.tolist().index(prob.slack_id)])
     if slack < -tol:
         raise InfeasibleOccupancyError(
             f"occupancy LP infeasible (residual {-slack:.3g}); "
@@ -1073,7 +1071,7 @@ def _phase1(prob: OccupancyProblem, tol: float) -> tuple[list[int], np.ndarray]:
         )
     if x_b.min() < -tol:
         raise RuntimeError("phase 1 ended on a primal-infeasible basis")
-    return basis, B
+    return layout, factors
 
 
 def solve_occupancy_problem(
@@ -1086,16 +1084,17 @@ def solve_occupancy_problem(
 
     A start is a ``basis_layout`` or a sequence of ids.  A sequence of the
     wrong length or with an id out of range is skipped.  Each start is
-    checked by its ``ChainSplit``, and skipped when singular; only the
-    start the simplex pivots from is filled into a matrix.  `starts[0]` (the
-    most recent basis, for the learner) serves the dual restart when it is
-    nonsingular and no start is primal feasible.  One dual restart bounds
-    the cost of a miss.  The solution's `start` is the index in `starts` of
-    the basis it began from by either route, -1 for a crash vertex or
-    phase 1; its `layout` is the final basis's, with its split.
+    checked by its ``ChainSplit``, and skipped when singular; the simplex
+    pivots from the factors of the check that accepted its start, so no
+    start is factored twice.  `starts[0]` (the most recent basis, for the
+    learner) serves the dual restart when it is nonsingular and no start is
+    primal feasible.  One dual restart bounds the cost of a miss.  The
+    solution's `start` is the index in `starts` of the basis it began from
+    by either route, -1 for a crash vertex or phase 1; its `layout` is the
+    final basis's, with its split.
     """
-    basis, B, used = None, None, -1
-    first = None  # starts[0]'s layout when it may serve the dual restart
+    start, used = None, -1
+    first = None  # starts[0] and its factors, when it may serve the dual restart
     for i, layout in enumerate(starts):
         if not isinstance(layout, BasisLayout):
             if not _valid_ids(prob, layout):
@@ -1105,23 +1104,23 @@ def solve_occupancy_problem(
         if checked is None:  # singular; any x_B passes a tolerance of inf
             continue
         if checked[0].min() >= -_TOL:
-            basis, B, used = layout.ids.tolist(), _layout_matrix(prob, layout), i
+            start, used = (layout, checked[1]), i
             break
         if i == 0:
-            first = layout  # nonsingular but primal infeasible
-    if basis is None and first is not None:
-        candidate, B = first.ids.tolist(), _layout_matrix(prob, first)
-        if _dual_phase(prob, candidate, B, _TOL):  # pivoted in place
-            basis, used = candidate, 0
-    if basis is None:
+            first = (layout, checked[1])  # nonsingular but primal infeasible
+    if start is None and first is not None:
+        start = _dual_phase(prob, first, _TOL)
+        used = -1 if start is None else 0
+    if start is None:
         for candidate in _crash_bases(prob):
             layout = basis_layout(prob, candidate)
-            if layout.chain.primal(prob, layout, _TOL) is not None:
-                basis, B = candidate, _layout_matrix(prob, layout)
+            checked = layout.chain.primal(prob, layout, _TOL)
+            if checked is not None:
+                start = (layout, checked[1])
                 break
         else:
-            basis, B = _phase1(prob, _TOL)
-    layout, x_b, _ = _simplex_loop(prob, basis, B, phase1=False, tol=_TOL)
+            start = _phase1(prob, _TOL)
+    layout, x_b, _ = _simplex_loop(prob, start, phase1=False, tol=_TOL)
     return _solution_from_basis(prob, layout, x_b, used)
 
 

@@ -1,10 +1,13 @@
-"""The dense pricing pass: reduced costs of every column of an occupancy
-program, the oracle the tests hold threshold pricing and the simplex's
-entering choices against."""
+"""Dense oracles the tests hold the structured solver against: the
+pricing pass over every column of an occupancy program (for threshold
+pricing and the simplex's entering choices), and a basis matrix filled
+column by column with its inverse through one LU of the whole matrix (for
+the chain split)."""
 
 import numpy as np
+from scipy.linalg.lapack import dgetrf, dgetrs
 
-from spacing_auctions.benchmark import _pricing_terms
+from spacing_auctions.benchmark import _pricing_terms, basis_layout
 
 
 def reduced_costs(prob, y, phase1):
@@ -24,3 +27,20 @@ def reduced_costs(prob, y, phase1):
         out[rows * n] = a[m - 1] * w[i] + beta[m - 1] - gamma * p[i]
     out[-1] = -gamma
     return out
+
+
+def basis_matrix(prob, basis):
+    """Columns of the reduced system for the given ids, filled from their
+    ``basis_layout`` (C-ordered)."""
+    layout = basis_layout(prob, basis)
+    return np.ascontiguousarray(
+        layout.fill(prob, np.zeros((prob.n_rows, layout.ids.shape[0]), order="F")))
+
+
+def dense_inverse(B):
+    """B^-1 (C-ordered) through LAPACK getrf and getrs on the identity;
+    raises LinAlgError when getrf meets an exactly zero pivot."""
+    lu, piv, info = dgetrf(B)
+    if info > 0:
+        raise np.linalg.LinAlgError("Singular matrix")
+    return np.ascontiguousarray(dgetrs(lu, piv, np.eye(B.shape[0]))[0])

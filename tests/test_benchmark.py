@@ -1,6 +1,7 @@
 """Tests for the occupancy-LP benchmark, renewal formulas and the DP oracle."""
 
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -20,7 +21,6 @@ from spacing_auctions.benchmark import (
     BenchResult,
     ChainSplit,
     MixtureTemplate,
-    _basis_matrix,
     _chain_basis,
     _column,
     _crash_bases,
@@ -65,7 +65,7 @@ from spacing_auctions.harness import random_market as harness_random_market
 from spacing_auctions.rewards import cap_linear_reward, sqrt_reward, table_reward
 from spacing_auctions.rng import SplitMix64
 from spacing_auctions.simplex import solve_lp
-from dense_pricing import reduced_costs
+from dense_pricing import basis_matrix, dense_inverse, reduced_costs
 
 
 def atoms_market(*tuples):
@@ -391,6 +391,13 @@ def split_check(prob, basis, primal_tol=np.inf):
     return layout.chain.primal(prob, layout, primal_tol)
 
 
+def checked_start(prob, basis):
+    """A start for the simplex loops: the layout of the nonsingular basis
+    ids and the factors of its split check."""
+    layout = basis_layout(prob, basis)
+    return layout, layout.chain.primal(prob, layout, np.inf)[1]
+
+
 def test_warm_start_from_stale_optimal_basis_reaches_crash_optimum():
     # perturb W/P until the old optimal basis is primal feasible but no
     # longer dual optimal; the solve started there must reach the optimum
@@ -431,7 +438,7 @@ def test_unusable_starts_are_skipped():
         infeasible = [
             b for b in (_chain_basis(prob, i) for i in range(prob.n_actions))
             if verify_basis(prob, b, dual_tol=np.inf) is None
-            and np.linalg.matrix_rank(_basis_matrix(prob, b)) == prob.n_rows
+            and np.linalg.matrix_rank(basis_matrix(prob, b)) == prob.n_rows
         ]
         bad = [singular, short, out_of_range] + infeasible[:1]
         cold = solve_occupancy_problem(prob)
@@ -489,7 +496,7 @@ def test_failed_dual_restart_falls_back_to_the_crash_vertex():
             values = split_check(prob, start)
             if values is None or values[0].min() >= -1e-9:
                 continue
-            if _dual_phase(prob, list(start), _basis_matrix(prob, start), 1e-9):
+            if _dual_phase(prob, checked_start(prob, start), 1e-9) is not None:
                 continue
             solved = solve_occupancy_problem(prob, starts=[start])
             assert solved.start == -1
@@ -538,8 +545,9 @@ def test_dual_phase_enters_the_slack_when_the_budget_loosens():
     prob = occupancy_problem((mus, w, p), sqrt_reward(), 1, 0.7, False)
     basis = [0, 1]
     assert split_check(prob, basis)[0].min() < -0.5
-    assert _dual_phase(prob, basis, _basis_matrix(prob, basis), 1e-9)
-    assert basis == [0, prob.slack_id]
+    handed = _dual_phase(prob, checked_start(prob, basis), 1e-9)
+    assert handed is not None
+    assert handed[0].ids.tolist() == [0, prob.slack_id]
 
 
 # ---------------------------------------------------------------------------
@@ -745,21 +753,21 @@ def test_basis_layout_fills_the_basis_matrix_bitwise():
         prob, sol, reward = random_problem(rng)
         for basis in random_bases(rng, prob, sol):
             ref = np.column_stack([_column(prob, c) for c in basis])
-            assert _basis_matrix(prob, basis).tobytes() == ref.tobytes()
+            assert basis_matrix(prob, basis).tobytes() == ref.tobytes()
             # one layout refills the matrix for drifted coefficients
             layout = basis_layout(prob, basis)
             w2 = np.array([min(1.0, x * (1 + 0.1 * rng.uniform())) for x in prob.w])
             p2 = np.array([x * (1 + 0.1 * rng.uniform()) for x in prob.p])
             prob2 = with_curves(prob, reward, w2, p2)
             filled = layout.fill(prob2, np.zeros((prob.n_rows, prob.n_rows), order="F"))
-            assert np.ascontiguousarray(filled).tobytes() == _basis_matrix(prob2, basis).tobytes()
+            assert np.ascontiguousarray(filled).tobytes() == basis_matrix(prob2, basis).tobytes()
 
 
 def lu_factor_route(prob, ids, cb, primal_tol=1e-9, dual_tol=1e-9):
     """Basis verification through scipy's lu_factor/lu_solve wrappers."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", sla.LinAlgWarning)
-        lu, piv = sla.lu_factor(_basis_matrix(prob, ids), check_finite=False)
+        lu, piv = sla.lu_factor(basis_matrix(prob, ids), check_finite=False)
     if np.any(np.abs(np.diagonal(lu)) < 1e-13):
         return None
     x_b = sla.lu_solve((lu, piv), prob.b, check_finite=False)
@@ -819,14 +827,17 @@ def getrf_route(prob, layout):
 
 def assert_chain_parity(prob, layout):
     """The chain split of `layout` solves as getrf does: the same verdict,
-    and x_B and y within 1e-12 (relative once an entry exceeds 1).  Returns
-    whether the basis was accepted as nonsingular."""
+    and x_B, y and the block inverse B^-1 within 1e-12 (relative once an
+    entry exceeds 1).  Returns whether the basis was accepted as
+    nonsingular."""
     got = layout.chain.solve(prob, layout, np.inf)
     want = getrf_route(prob, layout)
     assert (got is None) == (want is None)
     if got is None:
         return False
-    for g, w in zip(got, want):
+    B = layout.fill(prob, np.zeros((prob.n_rows,) * 2, order="F"))
+    got += (layout.chain.inverse(layout.chain.factor(prob, layout)),)
+    for g, w in zip(got, want + (dense_inverse(B),)):
         np.testing.assert_allclose(g, w, rtol=0.0, atol=1e-12 * max(1.0, np.abs(w).max()))
     return True
 
@@ -963,9 +974,9 @@ def test_layouts_missing_chain_states_go_through_the_split(monkeypatch):
 
 
 def test_uncovered_wide_market_bases_match_the_lu_route(monkeypatch):
-    # on the 500-atom market at T=300, seeds 1-4, 301 of the 1,371 bases the
-    # planner checks lack a column of a deep-tail state; seeds 2 and 4 hold
-    # 293 of them
+    # on the 500-atom market at T=300, seeds 1-12 and 49, 300 of the 4,417
+    # bases the planner checks lack a column of a deep-tail state, all of
+    # them seed 1's
     from test_fkors import wide_runs
 
     verify = fkors.verify_basis_values
@@ -977,7 +988,7 @@ def test_uncovered_wide_market_bases_match_the_lu_route(monkeypatch):
         return got
 
     monkeypatch.setattr(fkors, "verify_basis_values", capture)
-    wide_runs((2, 4))
+    wide_runs((1,))
     uncovered = [c for c in captured if c[1].chain.n < c[0].n_rows - 3]
     assert len(uncovered) > 0.3 * len(captured)
     accepted = 0
@@ -991,6 +1002,82 @@ def test_uncovered_wide_market_bases_match_the_lu_route(monkeypatch):
             accepted += 1
         assert_chain_parity(prob, layout)
     assert len(uncovered) > 100 and accepted > 0
+
+
+def test_loops_start_from_the_factors_of_the_check_that_accepted_them(monkeypatch):
+    # every start a simplex loop pivots from (a primal-feasible start, a
+    # dual restart's start and the basis it hands over, a crash vertex,
+    # phase 1's chain and its final basis) comes with the factors of the
+    # split that checked it, and the loop factors nothing to begin
+    made, starts, routes = [], [], {"dual": 0, "phase1": 0}
+    factor, pivots = ChainSplit.factor, benchmark._Pivots
+    dual, phase1 = benchmark._dual_phase, benchmark._phase1
+
+    def recording_factor(self, prob, layout):
+        made.append((layout, factor(self, prob, layout)))
+        return made[-1][1]
+
+    class Checked(pivots):
+        def __init__(self, prob, start, *args):
+            before = len(made)
+            super().__init__(prob, start, *args)
+            assert len(made) == before
+            assert any(layout is start[0] and f is start[1] for layout, f in made)
+            starts.append(start)
+
+    def counting(route, fn):
+        def counted(*args):
+            got = fn(*args)
+            routes[route] += got is not None
+            return got
+        return counted
+
+    monkeypatch.setattr(ChainSplit, "factor", recording_factor)
+    monkeypatch.setattr(benchmark, "_Pivots", Checked)
+    monkeypatch.setattr(benchmark, "_dual_phase", counting("dual", dual))
+    monkeypatch.setattr(benchmark, "_phase1", counting("phase1", phase1))
+    rng = SplitMix64(83)
+    for _ in range(40):
+        prob, sol, reward = random_problem(rng)
+        for scale in (0.25, 0.5, 0.9, 1.5):
+            moved = occupancy_problem(
+                (prob.mus, prob.w, prob.p), reward, prob.m, min(1.0, prob.rho * scale),
+                prob.bid1_at_m)
+            try:
+                solve_occupancy_problem(moved, starts=[sol.basis])
+            except InfeasibleOccupancyError:
+                pass
+    assert len(starts) > 200 and routes["dual"] >= 20 and routes["phase1"] >= 3, routes
+
+
+def test_block_inverse_does_not_depend_on_blas_threads():
+    # the optimal basis of the README config at rho = 0.05 has 361 rows,
+    # where scipy's getrf gives other bits with two OpenBLAS threads than
+    # with one on random matrices; its block inverse takes tbtrs, a getrs
+    # on a 3 x 3 Schur complement and products
+    src = str(Path(spacing_auctions.__file__).resolve().parents[1])
+    code = (
+        "import hashlib, sys; sys.path.insert(0, sys.argv[1]); "
+        "from spacing_auctions.benchmark import occupancy_problem, solve_occupancy_problem; "
+        "from spacing_auctions.market import candidate_multipliers, market_from_config, win_pay_curve; "
+        "from spacing_auctions.rewards import sqrt_reward; "
+        "market = market_from_config({'type': 'uniform_grid', 'K': 50}); "
+        "mus = candidate_multipliers(market); "
+        "prob = occupancy_problem((mus, *win_pay_curve(market, mus)), sqrt_reward(), 360, 0.05, True); "
+        "layout = solve_occupancy_problem(prob).layout; "
+        "inv = layout.chain.inverse(layout.chain.factor(prob, layout)); "
+        "print(inv.shape, hashlib.sha256(inv.tobytes()).hexdigest())"
+    )
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", code, src],
+            env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+            capture_output=True, text=True, check=True, timeout=300,
+        ).stdout
+        for threads in ("1", "2")
+    ]
+    assert outputs[0].startswith("(361, 361) ")
+    assert outputs[0] == outputs[1]
 
 
 def test_import_leaves_linalg_warnings_alone():

@@ -23,11 +23,9 @@ from scipy.sparse import coo_matrix
 from spacing_auctions import benchmark, fkors
 from spacing_auctions.benchmark import (
     InfeasibleOccupancyError,
-    _basis_matrix,
     _chain_basis,
     _column,
     _crash_bases,
-    _dense_inverse,
     _dual_phase,
     _objective_coeffs,
     _update_inverse,
@@ -46,8 +44,8 @@ from spacing_auctions.market import (
 )
 from spacing_auctions.rewards import cap_linear_reward, sqrt_reward
 from spacing_auctions.rng import SplitMix64
-from dense_pricing import reduced_costs
-from test_benchmark import GRID, problem_on, random_problem, split_check
+from dense_pricing import basis_matrix, dense_inverse, reduced_costs
+from test_benchmark import GRID, checked_start, problem_on, random_problem, split_check
 from test_fkors import wide_market
 
 # HiGHS works to primal and dual feasibility tolerances of 1e-7
@@ -214,8 +212,8 @@ def full_width_dual_phase(prob, basis, tol):
     """Reference dual phase that prices every column: the pivot row through
     the pricing identity A^T z = -reduced_costs(z, phase1) and reduced costs
     carried across pivots, clipped at zero."""
-    B = _basis_matrix(prob, basis)
-    b_inv = _dense_inverse(B)
+    B = basis_matrix(prob, basis)
+    b_inv = dense_inverse(B)
     x_b = b_inv @ prob.b
     basic = np.zeros(prob.n_cols + 1, dtype=bool)
     basic[basis] = True
@@ -234,7 +232,7 @@ def full_width_dual_phase(prob, basis, tol):
         a_j = _column(prob, j)
         direction = b_inv @ a_j
         if np.abs(B @ direction - a_j).max() > 1e-8 or abs(direction[leave]) < 1e-9:
-            b_inv = _dense_inverse(B)
+            b_inv = dense_inverse(B)
             x_b = b_inv @ prob.b
             continue
         d = np.minimum(d - d[j] / row[j] * row, 0.0)
@@ -259,7 +257,7 @@ def test_neighbour_pricing_keeps_the_restarts_full_pricing_makes(captured):
             continue
         ok = full_width_dual_phase(prob, list(starts[0]), 1e-9)
         full += ok
-        neighbour += ok and _dual_phase(prob, list(starts[0]), _basis_matrix(prob, starts[0]), 1e-9)
+        neighbour += ok and _dual_phase(prob, checked_start(prob, starts[0]), 1e-9) is not None
     print(f"{neighbour} of {full} restarts")
     assert full >= 20
     assert neighbour >= 0.95 * full
@@ -276,7 +274,7 @@ def test_a_start_whose_entering_column_is_no_neighbour_falls_back_to_a_crash_ver
     start = [2, prob.n_actions + 2, prob.slack_id]
     assert split_check(prob, start)[0].min() < -0.1
     assert full_width_dual_phase(prob, list(start), 1e-9)
-    assert not _dual_phase(prob, list(start), _basis_matrix(prob, start), 1e-9)
+    assert _dual_phase(prob, checked_start(prob, start), 1e-9) is None
     assert split_check(prob, _crash_bases(prob)[0], 1e-9) is not None
     sol = solve_occupancy_problem(prob, starts=[start])
     assert sol.start == -1

@@ -488,10 +488,10 @@ def test_wide_market_misses_restart_from_cached_bases():
 # (utility_true by repr, cold_solves, warm_starts, reused_plans) of FKORS on
 # the 500-atom market at T=300, where nearly every epoch misses the cache
 WIDE_PINNED = {
-    1: ("125.97078739886372", 47, 46, 31),
-    2: ("136.86317266842616", 58, 57, 31),
-    3: ("129.7388043829863", 52, 51, 28),
-    4: ("130.16620714918704", 48, 47, 34),
+    1: ("125.97078739886372", 46, 45, 32),
+    2: ("136.86317266842616", 62, 61, 27),
+    3: ("129.7388043829863", 45, 44, 35),
+    4: ("130.16620714918704", 49, 48, 33),
 }
 
 
@@ -512,7 +512,7 @@ def test_large_market_is_pinned():
     rec = run_fkors(market, sqrt_reward(), cfg)
     c = rec.config
     got = (repr(rec.utility_true), c["cold_solves"], c["warm_starts"], c["reused_plans"])
-    assert got == ("1777.8725772914695", 473, 471, 727)
+    assert got == ("1777.8725772914695", 471, 469, 729)
 
 
 def pinned(rec):
@@ -583,28 +583,32 @@ def test_each_cached_basis_is_derived_once(monkeypatch):
 
 def test_miss_starts_are_screened_without_a_basis_matrix(monkeypatch):
     # the planner hands its cached layouts to the solver, which screens
-    # chain-covered ones by their chain split; only the start it pivots
-    # from is filled and factored, and no start builds a layout anew
-    built, filled, solves = [], [], []
-    matrix, fill = benchmark._basis_matrix, benchmark._layout_matrix
+    # them by their chain split; a simplex loop fills its basis matrix B
+    # once, from the start it pivots from: the primal loop once per solve
+    # and the dual phase once per restart, and no screened start is filled
+    fills, restarts, solves = [], [], []
+    pivots, dual = benchmark._Pivots, benchmark._dual_phase
     solve = fkors.solve_occupancy_problem
 
+    class Counted(pivots):
+        def __init__(self, *args):
+            fills.append(1)
+            super().__init__(*args)
+
     def recording_solve(prob, starts=()):
-        before = len(built)
+        before = len(fills), len(restarts)
         sol = solve(prob, starts=starts)
-        solves.append((len(starts), sol.start, len(built) - before))
+        solves.append((len(starts), len(fills) - before[0], len(restarts) - before[1]))
         return sol
 
-    monkeypatch.setattr(benchmark, "_basis_matrix", lambda *a: built.append(1) or matrix(*a))
-    monkeypatch.setattr(benchmark, "_layout_matrix", lambda *a: filled.append(1) or fill(*a))
+    monkeypatch.setattr(benchmark, "_Pivots", Counted)
+    monkeypatch.setattr(benchmark, "_dual_phase", lambda *a: restarts.append(1) or dual(*a))
     monkeypatch.setattr(fkors, "solve_occupancy_problem", recording_solve)
     (rec,) = wide_runs((1,))
-    assert len(solves) == rec.config["cold_solves"] == 47
+    assert len(solves) == rec.config["cold_solves"] == 46
     assert sum(n_starts for n_starts, _, _ in solves) > 200
-    assert all(n == 0 for _, start, n in solves if start >= 0)
-    assert len(built) <= 2  # the first solve's crash vertices
-    # about one matrix per solve: the start it pivots from
-    assert len(filled) <= len(solves) + 2
+    assert all(n_fills <= 1 + n_restarts for _, n_fills, n_restarts in solves)
+    assert len(fills) == len(solves) + len(restarts) and len(restarts) > 10
 
 
 def test_wide_market_cleanup_after_dual_restart_passes_over_tiny_pivots():
