@@ -47,8 +47,8 @@ class MarketDistribution:
     must total 1 within 1e-12.
     """
 
-    __slots__ = ("atoms", "_p", "_c", "_prob", "_cum", "_sorted_ratio", "_sorted_wc",
-                 "_sorted_wp")
+    __slots__ = ("atoms", "_p", "_c", "_prob", "_cum", "_pc", "_sorted_ratio",
+                 "_sorted_wc", "_sorted_wp")
 
     def __init__(self, atoms: Iterable[MarketAtom]):
         merged: dict[tuple[float, float], float] = {}
@@ -62,6 +62,7 @@ class MarketDistribution:
             raise ValueError(f"atom probabilities sum to {total}, not 1")
         items = sorted(merged.items())
         self.atoms = tuple(MarketAtom(p, c, q) for (p, c), q in items)
+        self._pc = [pc for pc, _ in items]
         self._p = np.array([a.p for a in self.atoms])
         self._c = np.array([a.c for a in self.atoms])
         self._prob = np.array([a.prob for a in self.atoms])
@@ -86,12 +87,11 @@ class MarketDistribution:
         return f"MarketDistribution({len(self.atoms)} atoms)"
 
     def sample(self, rng: SplitMix64) -> tuple[float, float]:
-        """Draw one (price, conversion rate) atom; one uniform consumed."""
-        i = bisect_right(self._cum, rng.uniform())
-        if i >= len(self.atoms):
-            i = len(self.atoms) - 1
-        a = self.atoms[i]
-        return a.p, a.c
+        """Draw one (price, conversion rate) atom; one uniform consumed.
+
+        Draws lie below 1 and the last cumulative probability is pinned to
+        1, so the index is always an atom's."""
+        return self._pc[bisect_right(self._cum, rng.uniform())]
 
 
 def ratio_order(p: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

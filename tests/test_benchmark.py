@@ -973,33 +973,64 @@ def test_layouts_missing_chain_states_go_through_the_split(monkeypatch):
         assert assert_chain_parity(problem, layout)
 
 
+def uncovered_twin(prob, layout):
+    """`layout` with the only column of its deepest chain state swapped for
+    a second column of the state before, so that the state's own row moves
+    to the border; None when no such swap is well conditioned.  Actions
+    whose W lies furthest from that state's own are tried first, and a
+    near-singular twin, whose verdict turns on the 1e-13 pivot rule, is
+    skipped."""
+    R = prob.n_rows
+    for s in range(prob.m - 1, 2, -1):
+        (here,) = np.nonzero(layout.states == s)
+        before = layout.actions[layout.states == s - 1]
+        if here.shape[0] != 1 or before.shape[0] == 0:
+            continue
+        pos = np.flatnonzero(layout.struct)[here[0]]
+        gap = np.abs(prob.w[:, None] - prob.w[before]).min(axis=1)
+        for action in np.argsort(-gap, kind="stable")[:5]:
+            ids = layout.ids.copy()
+            ids[pos] = prob.encode(np.array([s - 1]), np.array([action]))[0]
+            twin = basis_layout(prob, ids)
+            if np.linalg.cond(twin.fill(prob, np.zeros((R, R), order="F"))) < 1e10:
+                return twin
+        return None
+    return None
+
+
 def test_uncovered_wide_market_bases_match_the_lu_route(monkeypatch):
-    # on the 500-atom market at T=300, seeds 1-12 and 49, 300 of the 4,417
-    # bases the planner checks lack a column of a deep-tail state, all of
-    # them seed 1's
+    # the bases the planner checks on the 500-atom market at T=300 give up
+    # a deep-tail state's column, so each twin has a state 2..m-1 without
+    # one, whichever optimal vertex a degenerate solve picked; each twin is
+    # checked at the planner's tolerances and again without the dual check,
+    # which accepts the primal-feasible ones
     from test_fkors import wide_runs
 
     verify = fkors.verify_basis_values
     captured = []
 
     def capture(prob, layout, **kwargs):
-        got = verify(prob, layout, **kwargs)
-        captured.append((prob, layout, kwargs, got))
-        return got
+        captured.append((prob, layout, kwargs))
+        return verify(prob, layout, **kwargs)
 
     monkeypatch.setattr(fkors, "verify_basis_values", capture)
-    wide_runs((1,))
-    uncovered = [c for c in captured if c[1].chain.n < c[0].n_rows - 3]
+    wide_runs((2, 49))
+    twins = [(prob, uncovered_twin(prob, layout), kwargs)
+             for prob, layout, kwargs in captured if layout.chain.n == prob.n_rows - 3]
+    uncovered = [c for c in twins if c[1] is not None]
+    assert all(layout.chain.n < prob.n_rows - 3 for prob, layout, _ in uncovered)
     assert len(uncovered) > 0.3 * len(captured)
     accepted = 0
-    for prob, layout, kwargs, got in uncovered:
+    for prob, layout, kwargs in uncovered:
         ids = layout.ids.tolist()
-        want = lu_factor_route(
-            prob, ids, _objective_coeffs(prob, ids), kwargs["primal_tol"], kwargs["dual_tol"])
-        assert (got is None) == (want is None)
-        if got is not None:
-            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
-            accepted += 1
+        for dual_tol in (kwargs["dual_tol"], np.inf):
+            got = verify(prob, layout, kwargs["primal_tol"], dual_tol)
+            want = lu_factor_route(
+                prob, ids, _objective_coeffs(prob, ids), kwargs["primal_tol"], dual_tol)
+            assert (got is None) == (want is None)
+            if got is not None:
+                np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+                accepted += 1
         assert_chain_parity(prob, layout)
     assert len(uncovered) > 100 and accepted > 0
 

@@ -140,6 +140,28 @@ def test_sample_deterministic_given_seed():
     assert a[0] == b[0]
 
 
+class FixedDraw:
+    """A stand-in generator whose every draw is `u`."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def uniform(self):
+        return self.u
+
+
+def test_sample_returns_an_atom_at_both_ends_of_the_unit_interval():
+    # the last cumulative probability is pinned to 1, whether the atoms sum
+    # just below or just above it; a tiny last atom leaves the sum before
+    # it above the pin
+    for excess in (-(2.0**-52), 2.0**-52):
+        for tail in (0.25, 2.0**-60):
+            m = atoms_market((0.2, 0.5, 0.5), (0.4, 0.6, 0.5 - tail + excess), (0.9, 1.0, tail))
+            atoms = [(a.p, a.c) for a in m.atoms]
+            assert m.sample(FixedDraw(0.0)) == atoms[0]
+            assert m.sample(FixedDraw(1.0 - 2.0**-53)) in atoms
+
+
 def test_sample_frequencies_converge():
     m = atoms_market((0.2, 1.0, 0.5), (0.8, 1.0, 0.5))
     rng = SplitMix64(1234)
