@@ -55,7 +55,9 @@ Two solution paths exist on purpose:
   loops keep the explicit inverse of their basis (``_Pivots``), formed
   from a chain split's factors (``ChainSplit.inverse``) at the start and at
   each refactorization; the solution's x_B comes from the chain split of
-  the final basis, and the solution hands back that basis's layout.
+  the final basis, and the solution hands back that basis's layout.  Start
+  checks, refactorizations and that final split share one singularity rule
+  (``ChainSplit.checked``).
   ``verify_basis`` re-checks a stored basis against fresh coefficients,
   letting the learner keep its policy when it is still optimal; only when
   no stored basis certifies does the learner solve again, warm-started from
@@ -635,19 +637,29 @@ class ChainSplit:
         inv = np.block([[a_inv + g_solved @ x, -(g_solved @ s_inv)], [-x, s_inv]])
         return inv[np.ix_(self.new_col, self.new_row)]
 
+    def checked(self, prob: OccupancyProblem, layout: BasisLayout) -> tuple[np.ndarray, tuple]:
+        """(x_B, ``factor``'s factors) of B x_B = b; raises LinAlgError, with
+        the cause, when B is singular (some |U diagonal| < 1e-13) or x_B is
+        not finite.  Every split of a basis is held to this rule."""
+        factors = self.factor(prob, layout)
+        pivot = abs(factors[3].diagonal()).min()
+        if pivot < 1e-13:
+            raise np.linalg.LinAlgError(f"singular basis: Schur complement pivot {pivot:.3g}")
+        x_b = self.x_b(factors, prob.b)
+        if not np.isfinite(x_b).all():
+            raise np.linalg.LinAlgError("basis solve gave a non-finite x_B")
+        return x_b, factors
+
     def primal(
         self, prob: OccupancyProblem, layout: BasisLayout, primal_tol: float
     ) -> Optional[tuple[np.ndarray, tuple]]:
-        """(x_B, ``factor``'s factors) of B x_B = b; None when B is singular
-        (some |U diagonal| < 1e-13), x_B is not finite or an entry of it lies
-        below -primal_tol."""
-        factors = self.factor(prob, layout)
-        if abs(factors[3].diagonal()).min() < 1e-13:
+        """``checked``'s (x_B, factors); None when it raises or an entry of
+        x_B lies below -primal_tol."""
+        try:
+            x_b, factors = self.checked(prob, layout)
+        except np.linalg.LinAlgError:
             return None
-        x_b = self.x_b(factors, prob.b)
-        if not np.isfinite(x_b).all() or x_b.min() < -primal_tol:
-            return None
-        return x_b, factors
+        return None if x_b.min() < -primal_tol else (x_b, factors)
 
     def solve(
         self, prob: OccupancyProblem, layout: BasisLayout, primal_tol: float
@@ -836,7 +848,7 @@ class _Pivots:
     def refactor(self, clip: bool = False) -> None:
         """Form B^-1 again from the split of the current basis (``_split``),
         and x_B, clipped at zero if `clip`."""
-        layout, factors = _split(self.prob, self.ids)
+        (layout, factors), _ = _split(self.prob, self.ids)
         self.inv = layout.chain.inverse(factors)
         self.x_b = self.inv @ self.prob.b
         self.updates = 0
@@ -858,14 +870,12 @@ class _Pivots:
         self.updates += 1
 
 
-def _split(prob: OccupancyProblem, ids: np.ndarray) -> _Start:
-    """(layout, ``ChainSplit.factor``'s factors) of the basis ids; raises
-    LinAlgError when the Schur complement has an exactly zero pivot."""
+def _split(prob: OccupancyProblem, ids: np.ndarray) -> tuple[_Start, np.ndarray]:
+    """(layout, ``ChainSplit.factor``'s factors) of the basis ids, and x_B;
+    raises LinAlgError where ``ChainSplit.checked`` does."""
     layout = basis_layout(prob, ids)
-    factors = layout.chain.factor(prob, layout)
-    if not factors[3].diagonal().all():
-        raise np.linalg.LinAlgError("Singular matrix")
-    return layout, factors
+    x_b, factors = layout.chain.checked(prob, layout)
+    return (layout, factors), x_b
 
 
 def _simplex_loop(
@@ -926,8 +936,8 @@ def _simplex_loop(
     else:
         raise RuntimeError("occupancy simplex pivot limit exceeded")
     # refresh the solution from a clean factorization before returning
-    layout, factors = _split(prob, pv.ids)
-    return layout, np.maximum(layout.chain.x_b(factors, prob.b), 0.0), factors
+    (layout, factors), x_b = _split(prob, pv.ids)
+    return layout, np.maximum(x_b, 0.0), factors
 
 
 def _update_inverse(b_inv: np.ndarray, direction: np.ndarray, leave: int) -> None:
@@ -1061,8 +1071,6 @@ def _phase1(prob: OccupancyProblem, tol: float) -> _Start:
     twin = replace(prob, rho=prob.rho - x_b[-1])
     layout, _, factors = _simplex_loop(twin, (layout, factors), phase1=True, tol=tol)
     x_b = layout.chain.x_b(factors, prob.b)
-    if abs(factors[3].diagonal()).min() < 1e-13 or not np.isfinite(x_b).all():
-        raise RuntimeError("phase 1 ended on a singular basis")
     slack = float(x_b[layout.ids.tolist().index(prob.slack_id)])
     if slack < -tol:
         raise InfeasibleOccupancyError(

@@ -8,6 +8,7 @@ comment lines so files stay machine-readable.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 from pathlib import Path
 
@@ -17,15 +18,14 @@ from .harness import (
     load_config,
     reference_m,
     reference_opt,
+    run_batch_groups,
     run_experiment,
     validate_suite,
+    write_summary,
     SUMMARY_HEADER,
 )
 from .market import mean_conversion, win_pay_mu
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
+from .records import _fmt
 
 
 def cmd_bench(args) -> int:
@@ -71,24 +71,22 @@ def cmd_warmup_curve(args) -> int:
 
 
 def cmd_regret_sweep(args) -> int:
-    t_list = [int(t) for t in args.t_list.split(",")]
     base = load_config(args.config)
+    configs = [load_config({**base.raw, "T": int(T)}) for T in args.t_list.split(",")]
     print("T,algorithm,mean_regret,mean_utility_true,opt_per_round,regret_per_sqrt_T")
-    for T in t_list:
-        doc = dict(base.raw)
-        doc["T"] = T
-        cfg = load_config(doc)
+    # one pool for every horizon; it takes the largest T first
+    groups = [(cfg.raw, spec.label(), cfg.seeds) for cfg in configs for spec in cfg.algorithms]
+    results = iter(run_batch_groups(groups, workers=args.workers))
+    for cfg in configs:
+        T = cfg.T
         opt = reference_opt(cfg.market, cfg.reward, cfg.rho, T, cfg.m_ref)
-        out = Path(args.out) / f"T{T}"
-        rows = run_experiment(cfg, out, workers=args.workers, opt_per_round=opt)
-        by_alg: dict[str, list[tuple[float, float]]] = {}
-        for row in rows:
-            parts = row.split(",")
-            by_alg.setdefault(parts[0], []).append((float(parts[10]), float(parts[4])))
-        for alg in sorted(by_alg):
-            entries = by_alg[alg]
-            mean_reg = sum(r for r, _ in entries) / len(entries)
-            mean_util = sum(u for _, u in entries) / len(entries)
+        stats = [st for _ in cfg.algorithms for st in next(results)]
+        write_summary(Path(args.out) / f"T{T}", stats, opt)  # sorts by (algorithm, seed)
+        for alg, runs in itertools.groupby(stats, key=lambda st: st["algorithm"]):
+            runs = list(runs)
+            # regret as in summary_row
+            mean_reg = sum(st["T"] * opt - st["utility_true"] for st in runs) / len(runs)
+            mean_util = sum(st["utility_true"] for st in runs) / len(runs)
             print(f"{T},{alg},{_fmt(mean_reg)},{_fmt(mean_util)},{_fmt(opt)},"
                   f"{_fmt(mean_reg / T ** 0.5)}")
     return 0

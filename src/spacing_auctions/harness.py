@@ -19,6 +19,14 @@ Configuration is a JSON document combining the per-module fragments:
 The environment variable SPACING_SEED overrides the base seed.  All outputs
 are CSV with '.' decimals, '\\n' line endings and a header row; identical
 configs produce byte-identical files.
+
+Every run goes through ``run_batch_groups``: it takes (config, algorithm,
+seeds) groups, runs them in one process pool (largest T first) and returns
+each run's statistics, grouped and seed-sorted.  The statistics stay data
+until ``write_summary`` writes summary.csv and the trace files.
+``run_experiment`` is one config's groups plus ``reference_opt`` and that
+writer; the CLI's regret-sweep sends every horizon's groups through one
+call and writes each horizon's summary with the same writer.
 """
 
 from __future__ import annotations
@@ -54,7 +62,7 @@ from .market import (
     market_from_config,
     mean_conversion,
 )
-from .records import RunRecord, trace_lines
+from .records import RunRecord, _fmt, trace_lines
 from .rewards import (
     RewardFn,
     cap_linear_reward,
@@ -229,10 +237,6 @@ def run_algorithm(
     raise ValueError(f"unknown algorithm {spec.name!r}")
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def summary_row(stats: dict, opt_per_round: float) -> str:
     reg = stats["T"] * opt_per_round - stats["utility_true"]
     return (
@@ -270,71 +274,60 @@ def _run_payload(payload: dict) -> dict:
     return stats
 
 
-def _map_jobs(fn, jobs: list[dict], workers: int) -> list:
-    """fn over jobs, results in job order; with more than one worker and
-    more than one job they run in a process pool of `workers`."""
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, jobs))
-    return [fn(j) for j in jobs]
-
-
 def run_batch_groups(
-    groups: Sequence[tuple[dict, str, Sequence[int]]], workers: int = 1
+    groups: Sequence[tuple[dict, str, Sequence[int]]], workers: int = 1, trace: bool = False
 ) -> list[list[dict]]:
-    """Run several (config, algorithm, seeds) groups through one worker pool.
+    """Run (config, algorithm, seeds) groups, each run's statistics from
+    ``_run_payload``; with more than one worker and more than one run they
+    share one process pool of `workers`.
 
-    Scheduling interleaves the heaviest jobs first, but results are grouped
-    and seed-sorted, so the output is independent of the pool layout."""
+    The pool takes the heaviest runs (largest T) first, but results are
+    grouped and seed-sorted, so the output is independent of the pool layout."""
     jobs = []
     for g, (doc, algorithm, seeds) in enumerate(groups):
         spec = _parse_algorithms([algorithm])[0]
         for s in seeds:
             jobs.append(
                 {"config": doc, "name": spec.name, "period": spec.period, "seed": s,
-                 "group": g}
+                 "trace": trace, "group": g}
             )
     jobs.sort(key=lambda j: -j["config"].get("T", 0))
-    stats = _map_jobs(_run_payload, jobs, workers)
+    if workers > 1 and len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            stats = list(pool.map(_run_payload, jobs))
+    else:
+        stats = [_run_payload(j) for j in jobs]
     out: list[list[dict]] = [[] for _ in groups]
     for job, st in zip(jobs, stats):
         out[job["group"]].append(st)
     return [sorted(g, key=lambda d: d["seed"]) for g in out]
 
 
-def run_experiment(
-    cfg: ExperimentConfig,
-    out_dir,
-    trace: bool = False,
-    workers: int = 1,
-    opt_per_round: Optional[float] = None,
-) -> list[str]:
-    """Run every (algorithm, seed) pair and write summary.csv (plus optional
-    per-run trace files).  Returns the summary rows."""
+def write_summary(out_dir, stats: list[dict], opt_per_round: float) -> list[str]:
+    """Sort `stats` by (algorithm, seed) in place, write summary.csv (plus
+    a trace file per run that carries its trace lines) to `out_dir` and
+    return the summary rows."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if opt_per_round is None:
-        opt_per_round = reference_opt(cfg.market, cfg.reward, cfg.rho, cfg.T, cfg.m_ref)
-    jobs = [
-        {
-            "config": cfg.raw,
-            "name": spec.name,
-            "period": spec.period,
-            "seed": seed,
-            "trace": trace,
-        }
-        for spec in cfg.algorithms
-        for seed in cfg.seeds
-    ]
-    results = _map_jobs(_run_payload, jobs, workers)
-    results.sort(key=lambda st: (st["algorithm"], st["seed"]))
-    rows = [summary_row(st, opt_per_round) for st in results]
+    stats.sort(key=lambda st: (st["algorithm"], st["seed"]))
+    rows = [summary_row(st, opt_per_round) for st in stats]
     (out / "summary.csv").write_text("\n".join([SUMMARY_HEADER, *rows]) + "\n")
-    if trace:
-        for st in results:
+    for st in stats:
+        if "trace" in st:
             name = st["algorithm"].replace(":", "_")
             (out / f"trace_{name}_{st['seed']}.csv").write_text("\n".join(st["trace"]) + "\n")
     return rows
+
+
+def run_experiment(
+    cfg: ExperimentConfig, out_dir, trace: bool = False, workers: int = 1
+) -> list[str]:
+    """Run every (algorithm, seed) pair and write summary.csv (plus optional
+    per-run trace files).  Returns the summary rows."""
+    opt_per_round = reference_opt(cfg.market, cfg.reward, cfg.rho, cfg.T, cfg.m_ref)
+    groups = [(cfg.raw, spec.label(), cfg.seeds) for spec in cfg.algorithms]
+    results = run_batch_groups(groups, workers, trace)
+    return write_summary(out_dir, [st for g in results for st in g], opt_per_round)
 
 
 # ---------------------------------------------------------------------------
@@ -636,35 +629,26 @@ def check_reverse_jensen(n_instances: int = 1000, seed: int = 99) -> CheckResult
                        time.perf_counter() - t0)
 
 
-_QUICK = {
-    "simplex_oracle": lambda: check_simplex_oracle(100),
-    "reward_shapes": lambda: check_reward_shapes(2000),
-    "monotone_win_floor": lambda: check_monotone_win_floor(30),
-    "dp_dominance": lambda: check_dp_dominance(20),
-    "state_reduction": lambda: check_state_reduction(8),
-    "gc_scaling": lambda: check_gc_scaling(20),
-    "reverse_jensen": lambda: check_reverse_jensen(200),
-}
-
-_FULL = {
-    "simplex_oracle": lambda: check_simplex_oracle(500),
-    "reward_shapes": lambda: check_reward_shapes(10_000),
-    "monotone_win_floor": lambda: check_monotone_win_floor(200),
-    "dp_dominance": lambda: check_dp_dominance(100),
-    "state_reduction": lambda: check_state_reduction(50),
-    "gc_scaling": lambda: check_gc_scaling(50),
-    "reverse_jensen": lambda: check_reverse_jensen(1000),
-}
+# (check, size at level quick, size at level full); a check's size is its
+# first parameter
+_CHECKS = (
+    (check_simplex_oracle, 100, 500),
+    (check_reward_shapes, 2000, 10_000),
+    (check_monotone_win_floor, 30, 200),
+    (check_dp_dominance, 20, 100),
+    (check_state_reduction, 8, 50),
+    (check_gc_scaling, 20, 50),
+    (check_reverse_jensen, 200, 1000),
+)
 
 
 def validate_suite(level: str = "quick", emit: Callable[[str], None] = print) -> list[CheckResult]:
     """Run the module property suites and print one line per check."""
     if level not in ("quick", "full"):
         raise ValueError("level must be 'quick' or 'full'")
-    checks = _QUICK if level == "quick" else _FULL
     results = []
-    for name, fn in checks.items():
-        res = fn()
+    for check, quick, full in _CHECKS:
+        res = check(quick if level == "quick" else full)
         results.append(res)
         status = "PASS" if res.ok else "FAIL"
         emit(f"{status:4s}  {res.name:20s} {res.seconds:7.2f}s  {res.detail}")

@@ -29,6 +29,7 @@ from spacing_auctions.benchmark import (
     _neighbour_offsets,
     _objective_coeffs,
     _ratio_test,
+    _split,
     _threshold_pricing,
     basis_layout,
     verify_basis_values,
@@ -916,18 +917,51 @@ def test_chain_split_adversarial_bases(bid1_at_m):
             layout = basis_layout(prob, basis[:-1] + [dup])
             assert not assert_chain_parity(prob, layout)
             assert verify_basis_values(prob, layout, dual_tol=np.inf) is None
-    # two state-1 columns whose multipliers have W and P a gap apart: the
-    # Schur complement is singular at gap 0, near-singular at 1e-14 and
-    # regular at 1e-3, whether it is 3 x 3 or, without state 4, 4 x 4
+    for problem, layout, border, regular in state_one_twins(prob, col):
+        assert layout.chain.new_col.shape[0] - layout.chain.n == border
+        assert assert_chain_parity(problem, layout) == regular
+
+
+def state_one_twins(prob, col):
+    """(program, layout, border size, regular) of two state-1 columns whose
+    multipliers have W and P a gap apart: the Schur complement is singular
+    at gap 0, near-singular at 1e-14 and regular at 1e-3, whether it is
+    3 x 3 or, without state 4, 4 x 4."""
     for gap, regular in ((0.0, False), (1e-14, False), (1e-3, True)):
         w, p = prob.w.copy(), prob.p.copy()
         w[2], p[2] = w[1] + gap, p[1] + gap
         problem = prob.with_curves(w, p)
         bases = ((_chain_basis(problem, 1), 3), (uncovered_basis(problem, col, (4,)), 4))
         for basis, border in bases:
-            layout = basis_layout(problem, basis[:-1] + [col(1, 2)])
-            assert layout.chain.new_col.shape[0] - layout.chain.n == border
-            assert assert_chain_parity(problem, layout) == regular
+            yield problem, basis_layout(problem, basis[:-1] + [col(1, 2)]), border, regular
+
+
+@pytest.mark.parametrize("bid1_at_m", [True, False])
+def test_refactorizations_apply_the_singularity_rule(bid1_at_m):
+    # the simplex loops refactor and refresh through _split, which rejects
+    # what a start check (ChainSplit.primal) rejects: a Schur pivot below
+    # 1e-13 (here about 1e-14, not only an exact 0) or a non-finite x_B
+    prob, col = chain_problem(bid1_at_m)
+    for problem, layout, _, regular in state_one_twins(prob, col):
+        checked = layout.chain.primal(problem, layout, np.inf)
+        assert (checked is not None) == regular
+        if regular:
+            (_, factors), x_b = _split(problem, layout.ids)
+            np.testing.assert_array_equal(x_b, checked[0])
+            np.testing.assert_array_equal(factors[3], checked[1][3])
+        else:
+            with pytest.raises(np.linalg.LinAlgError, match="singular basis"):
+                _split(problem, layout.ids)
+    # an infinite W leaves NaN pivots, which pass the pivot comparison
+    w = prob.w.copy()
+    w[1] = np.inf
+    problem = prob.with_curves(w, prob.p)
+    layout = basis_layout(problem, _chain_basis(problem, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert layout.chain.primal(problem, layout, np.inf) is None
+        with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+            _split(problem, layout.ids)
 
 
 def uncovered_basis(prob, col, missing):

@@ -146,6 +146,21 @@ def test_run_experiment_traces(tmp_path):
     assert len(trace) == cfg.T + 1
 
 
+def dir_bytes(path):
+    return {f.name: f.read_bytes() for f in sorted(path.iterdir())}
+
+
+def test_run_experiment_pool_traces_match_serial(tmp_path):
+    # trace lines come back from the pool workers with each run's statistics
+    cfg = load_config(BASE_CONFIG)
+    run_experiment(cfg, tmp_path / "serial", trace=True, workers=1)
+    run_experiment(cfg, tmp_path / "parallel", trace=True, workers=2)
+    serial = dir_bytes(tmp_path / "serial")
+    assert len(serial) == 1 + len(cfg.algorithms) * len(cfg.seeds)
+    assert "trace_fixed_interval_3_6.csv" in serial
+    assert dir_bytes(tmp_path / "parallel") == serial
+
+
 def test_run_algorithm_budget_guard_all_algorithms():
     cfg = load_config(BASE_CONFIG)
     for spec in cfg.algorithms:
@@ -228,6 +243,28 @@ def test_cli_regret_sweep(tmp_path, capsys):
     assert len(out) == 3
     assert (tmp_path / "sweep" / "T200" / "summary.csv").exists()
     assert (tmp_path / "sweep" / "T400" / "summary.csv").exists()
+
+
+def test_cli_regret_sweep_matches_simulate_per_horizon(tmp_path, capsys):
+    # one pool serves every horizon, largest T first; each horizon's summary
+    # is run_experiment's at that T, and the means do not depend on the pool
+    doc = {**BASE_CONFIG, "algorithms": ["fkors", "always_one"]}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    t_list = (200, 400, 100)
+    stdout = {}
+    for workers in (1, 2):
+        out = tmp_path / f"sweep{workers}"
+        rc = cli_main(["regret-sweep", "--config", str(cfg_path), "--T-list",
+                       ",".join(map(str, t_list)), "--out", str(out), "--workers", str(workers)])
+        assert rc == 0
+        stdout[workers] = capsys.readouterr().out
+    assert stdout[2] == stdout[1]
+    assert len(stdout[2].splitlines()) == 1 + 2 * len(t_list)
+    for T in t_list:
+        want = tmp_path / f"simulate{T}"
+        run_experiment(load_config({**doc, "T": T}), want)
+        assert dir_bytes(tmp_path / "sweep2" / f"T{T}") == dir_bytes(want)
 
 
 def test_cli_entry_point_subprocess():
