@@ -41,22 +41,23 @@ Two solution paths exist on purpose:
   passes over every column.  Failing that, the solve starts from the crash
   vertices.  When none of them is feasible, phase 1 maximizes the budget
   slack from the last of them, the all-skip chain, whose other basic
-  values are never negative; it needs no artificial column, and it proves
-  the program infeasible when the slack stays negative.  A start may be a
-  ``basis_layout``; every start is checked by its chain split, and the
-  simplex pivots from the factors of the check that accepted it.  The primal
-  loop's entering column is the first maximum over every nonbasic
+  values are never negative, on a zero-reward twin of the program; it
+  needs no artificial column, and it proves the program infeasible when
+  the slack stays negative.  Every start, a ``basis_layout`` or ids, is
+  checked by its chain split, and a solve pivots one state (``_Pivots``),
+  built from that check's x_B and factors, through all its loops.  The
+  primal loop's entering column is the first maximum over every nonbasic
   column, found by pricing each state at its threshold
   (``_threshold_pricing``): on a market's curves a state's reduced costs
   peak at the first multiplier with mu >= y_budget / a_l, the bid rule
   min(1, c / mu) applied to the duals.  So each solution is certified
   optimal on the full program.  Bland's rule, the first nonbasic id above
-  the tolerance, prices every action of the one state that holds it.  Both
-  loops keep the explicit inverse of their basis (``_Pivots``), formed
-  from a chain split's factors (``ChainSplit.inverse``) at the start and at
-  each refactorization; the solution's x_B comes from the chain split of
-  the final basis, and the solution hands back that basis's layout.  Start
-  checks, refactorizations and that final split share one singularity rule
+  the tolerance, prices every action of the one state that holds it.  The
+  state keeps the explicit inverse of its basis, formed from a chain
+  split's factors (``ChainSplit.inverse``), and x_B, solved by the split,
+  at the start and at each refactorization; the solution's x_B comes from
+  the split of the final basis, whose layout it hands back.  Start checks,
+  refactorizations and that final split share one singularity rule
   (``ChainSplit.checked``).
   ``verify_basis`` re-checks a stored basis against fresh coefficients,
   letting the learner keep its policy when it is still optimal; only when
@@ -404,15 +405,12 @@ def _state_duals(prob: OccupancyProblem, y: np.ndarray) -> tuple[np.ndarray, np.
     return y_pad[prob._own_sel], y_pad[prob._next_sel], float(y[0])
 
 
-def _pricing_terms(
-    prob: OccupancyProblem, y: np.ndarray, phase1: bool
-) -> tuple[np.ndarray, np.ndarray, float]:
+def _pricing_terms(prob: OccupancyProblem, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """(a, beta, gamma) of the duals y: column (l, i) has the reduced cost
     a[l-1] W_i + beta[l-1] - gamma P_i, and the slack -gamma."""
-    r = np.zeros(prob.m) if phase1 else prob.r
     ya, yb, y0 = _state_duals(prob, y)
     y_mass = float(y[-2])
-    return r + y0 - yb, yb - ya - y_mass, float(y[-1])
+    return prob.r + y0 - yb, yb - ya - y_mass, float(y[-1])
 
 
 def _threshold_table(prob: OccupancyProblem) -> np.ndarray:
@@ -439,9 +437,7 @@ def _market_curves(prob: OccupancyProblem) -> bool:
     return bool(dp.max() <= 1e-12 and gap[-1] <= 1e-12 and abs(gap[:-1]).max(initial=0.0) <= 1e-12)
 
 
-def _threshold_pricing(
-    prob: OccupancyProblem, y: np.ndarray, phase1: bool
-) -> tuple[np.ndarray, np.ndarray]:
+def _threshold_pricing(prob: OccupancyProblem, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(actions, d): the actions each state prices, a row per state, and
     their reduced costs a W_i + beta - gamma P_i (``_pricing_terms``), the
     slack's last.  They hold every state's best column.
@@ -457,7 +453,7 @@ def _threshold_pricing(
     (``_threshold_table``).  On other curves every state prices every
     action."""
     m, n = prob.m, prob.n_actions
-    a, beta, gamma = _pricing_terms(prob, y, phase1)
+    a, beta, gamma = _pricing_terms(prob, y)
     if not prob.market_curves:
         actions = np.tile(np.arange(n), (m, 1))
         if prob.bid1_at_m:
@@ -694,7 +690,7 @@ def verify_basis_values(
     if values is None:
         return None
     x_b, y = values
-    if _threshold_pricing(prob, y, False)[1].max() > dual_tol:
+    if _threshold_pricing(prob, y)[1].max() > dual_tol:
         return None
     return np.maximum(x_b, 0.0)
 
@@ -776,7 +772,7 @@ def _ratio_test(
 
 
 def _entering_column(
-    prob: OccupancyProblem, y: np.ndarray, basic: np.ndarray, phase1: bool, bland: bool, tol: float
+    prob: OccupancyProblem, y: np.ndarray, basic: np.ndarray, bland: bool, tol: float
 ) -> int:
     """The nonbasic column (`basic` flags ids 0..slack_id) that enters at
     duals y; -1 when none prices above tol.
@@ -791,7 +787,7 @@ def _entering_column(
     argument it lies in the first state whose priced nonbasic maximum is
     above tol, so only that state prices every action; the slack, the
     last id, enters when no state has such a column."""
-    actions, d = _threshold_pricing(prob, y, phase1)
+    actions, d = _threshold_pricing(prob, y)
     ids = np.empty(d.shape[0], dtype=int)
     np.add(actions, prob.state_base[:, None], out=ids[:-1].reshape(actions.shape))
     ids[-1] = prob.slack_id
@@ -803,7 +799,7 @@ def _entering_column(
         l = int(states[0])
         # state m's forced bid-1 is its only column
         cols = actions[l, :1] if prob.bid1_at_m and l == prob.m - 1 else np.arange(prob.n_actions)
-        a, beta, gamma = _pricing_terms(prob, y, phase1)
+        a, beta, gamma = _pricing_terms(prob, y)
         ids = prob.state_base[l] + cols
         above = (a[l] * prob.w[cols] + beta[l] - gamma * prob.p[cols] > tol) & ~basic[ids]
         return int(ids[above][0])
@@ -822,38 +818,32 @@ def _entering_column(
     return j
 
 
-_Start = tuple[BasisLayout, tuple]  # a layout and the factors of the split that checked it
-
-
 class _Pivots:
-    """The basis a simplex loop pivots from a ``_Start``: its ids, their
+    """The one pivot state of a solve, built from the layout, x_B and
+    factors of the check that accepted its start: the basis ids, their
     matrix B (C-ordered, filled once, for the drift check), the explicit
-    inverse B^-1 (``ChainSplit.inverse``), x_B, the costs c_B (phase 1: 1
-    for the slack, 0 otherwise), the mask of basic columns among ids
-    0..slack_id and the count of product-form updates since B^-1 was formed."""
+    inverse B^-1 (``ChainSplit.inverse``), x_B, the costs c_B, the mask of
+    basic columns among ids 0..slack_id and the count of product-form
+    updates since B^-1 was formed."""
 
-    def __init__(self, prob: OccupancyProblem, start: _Start, phase1: bool = False):
-        layout, factors = start
+    def __init__(self, prob: OccupancyProblem, layout: BasisLayout, x_b: np.ndarray, factors):
         self.prob = prob
         self.ids = layout.ids.copy()
         self.B = np.ascontiguousarray(layout.fill(prob, np.zeros((prob.n_rows,) * 2, order="F")))
         self.inv = layout.chain.inverse(factors)
-        self.x_b = self.inv @ prob.b
+        self.x_b = x_b
         self.updates = 0
-        self.cb = ((self.ids == prob.slack_id).astype(float) if phase1
-                   else _objective_coeffs(prob, self.ids))
+        self.cb = _objective_coeffs(prob, self.ids)
         self.basic = np.zeros(prob.n_cols + 1, dtype=bool)
         self.basic[self.ids] = True
 
     def refactor(self, clip: bool = False) -> None:
-        """Form B^-1 again from the split of the current basis (``_split``),
-        and x_B, clipped at zero if `clip`."""
-        (layout, factors), _ = _split(self.prob, self.ids)
+        """Form B^-1 and x_B again from the split of the current basis
+        (``_split``), x_B clipped at zero if `clip`."""
+        layout, x_b, factors = _split(self.prob, self.ids)
         self.inv = layout.chain.inverse(factors)
-        self.x_b = self.inv @ self.prob.b
+        self.x_b = np.maximum(x_b, 0.0) if clip else x_b
         self.updates = 0
-        if clip:
-            np.maximum(self.x_b, 0.0, out=self.x_b)
 
     def pivot(self, leave: int, j: int, a_j, direction, theta, cost) -> None:
         """Column j, with constraint column a_j and B^-1 image `direction`,
@@ -870,35 +860,29 @@ class _Pivots:
         self.updates += 1
 
 
-def _split(prob: OccupancyProblem, ids: np.ndarray) -> tuple[_Start, np.ndarray]:
-    """(layout, ``ChainSplit.factor``'s factors) of the basis ids, and x_B;
+def _split(prob: OccupancyProblem, ids: np.ndarray) -> tuple[BasisLayout, np.ndarray, tuple]:
+    """(layout, x_B, ``ChainSplit.factor``'s factors) of the basis ids;
     raises LinAlgError where ``ChainSplit.checked`` does."""
     layout = basis_layout(prob, ids)
     x_b, factors = layout.chain.checked(prob, layout)
-    return (layout, factors), x_b
+    return layout, x_b, factors
 
 
-def _simplex_loop(
-    prob: OccupancyProblem, start: _Start, phase1: bool, tol: float
-) -> tuple[BasisLayout, np.ndarray, tuple]:
-    """Revised primal simplex from a feasible ``_Start``; returns the final
-    basis's layout, x_B clipped at zero, and the factors of its split.
-
-    The pivots (``_Pivots``) begin from the start's block inverse and update
-    it in product form.  Every 64 pivots, and when it drifts, the inverse is
-    formed again from the split of the current basis, with x_B clipped at
-    zero; the final x_B comes from the split of the final basis.  Entering
-    columns follow Dantzig's rule (first maximum, deterministic;
-    ``_entering_column``) until a long streak of degenerate steps, after
-    which the loop switches to Bland's rule for guaranteed termination.
-    Phase 1 maximizes the slack: it costs 1 and every other column 0.
-    """
+def _simplex_loop(pv: _Pivots, tol: float) -> None:
+    """Revised primal simplex pivots of the primal-feasible state `pv`
+    until no column prices above tol.  B^-1 takes product-form updates;
+    every 64 pivots, and when it drifts, B^-1 and x_B are formed again from
+    the split of the current basis (``_Pivots.refactor``), with x_B clipped
+    at zero.  Entering columns follow Dantzig's rule (first maximum,
+    deterministic; ``_entering_column``) until a long streak of degenerate
+    steps, after which the loop switches to Bland's rule for guaranteed
+    termination."""
+    prob = pv.prob
     R = prob.n_rows
-    pv = _Pivots(prob, start, phase1)
     bland = False
     stall = 0
     for _ in range(_MAX_PIVOTS):
-        j = _entering_column(prob, pv.inv.T @ pv.cb, pv.basic, phase1, bland, tol)
+        j = _entering_column(prob, pv.inv.T @ pv.cb, pv.basic, bland, tol)
         if j < 0:
             break
         a_j = _column(prob, j)
@@ -930,14 +914,11 @@ def _simplex_loop(
                 bland = True
         else:
             stall = 0
-        pv.pivot(leave, j, a_j, direction, theta, 0.0 if phase1 else _objective_coeff_one(prob, j))
+        pv.pivot(leave, j, a_j, direction, theta, _objective_coeff_one(prob, j))
         if pv.updates >= 64:
             pv.refactor(clip=True)
     else:
         raise RuntimeError("occupancy simplex pivot limit exceeded")
-    # refresh the solution from a clean factorization before returning
-    (layout, factors), x_b = _split(prob, pv.ids)
-    return layout, np.maximum(x_b, 0.0), factors
 
 
 def _update_inverse(b_inv: np.ndarray, direction: np.ndarray, leave: int) -> None:
@@ -969,9 +950,9 @@ def _neighbour_offsets(prob: OccupancyProblem) -> np.ndarray:
     ))
 
 
-def _dual_phase(prob: OccupancyProblem, start: _Start, tol: float) -> Optional[_Start]:
-    """Dual simplex pivots from a nonsingular, primal-infeasible ``_Start``
-    until the basis is primal feasible.
+def _dual_phase(pv: _Pivots, tol: float) -> Optional[_Pivots]:
+    """Dual simplex pivots of the nonsingular, primal-infeasible pivot state
+    `pv` until its basis is primal feasible.
 
     Meant for a recently optimal basis that the new program's coefficients
     made primal infeasible: its reduced costs are near dual feasible, so a
@@ -992,16 +973,16 @@ def _dual_phase(prob: OccupancyProblem, start: _Start, tol: float) -> Optional[_
     e_r^T B^-1 N.  The ratio test runs over live, nonbasic slots with a
     row entry below -1e-9 and breaks ties by the largest |entry|.
 
-    The pivots are `_simplex_loop`'s (``_Pivots``), formed again from the
-    split of the current basis when they drift.  Returns the basis handed
-    over, with its split's factors, only if that split passes the check a
-    primal-feasible start passes.  On None (the start is then of no use,
-    and the caller starts from its crash vertices) the basis is singular, a
-    row has no negative entry among the neighbours (the program is
-    infeasible, or the start too far off) or 4 pivots per row were spent.
+    B^-1 and x_B are formed again from the split of the current basis when
+    they drift.  Once x_B >= -tol, `pv` is handed over if one more
+    ``_Pivots.refactor`` raises no LinAlgError and leaves x_B >= -tol, the
+    check a primal-feasible start passes.  On None (the start is then of no
+    use, and the caller starts from its crash vertices) the basis is
+    singular, a row has no negative entry among the neighbours (the program
+    is infeasible, or the start too far off) or 4 pivots per row were spent.
     """
+    prob = pv.prob
     R = prob.n_rows
-    pv = _Pivots(prob, start)
     n = prob.n_actions
     table = _neighbour_offsets(prob)
     lo, hi = table.tolist()  # for the per-pivot refill
@@ -1015,9 +996,11 @@ def _dual_phase(prob: OccupancyProblem, start: _Start, tol: float) -> Optional[_
     for _ in range(4 * R):
         leave = int(np.argmin(pv.x_b))
         if pv.x_b[leave] >= -tol:
-            layout = basis_layout(prob, pv.ids)
-            checked = layout.chain.primal(prob, layout, tol)
-            return None if checked is None else (layout, checked[1])
+            try:
+                pv.refactor()
+            except np.linalg.LinAlgError:
+                return None
+            return pv if pv.x_b.min() >= -tol else None
         row = pv.inv[leave] @ N
         cand = np.flatnonzero((row < -1e-9) & live & ~pv.basic[ids])
         if cand.size == 0:
@@ -1049,8 +1032,8 @@ def _dual_phase(prob: OccupancyProblem, start: _Start, tol: float) -> Optional[_
     return None
 
 
-def _phase1(prob: OccupancyProblem, tol: float) -> _Start:
-    """A primal-feasible ``_Start`` pivoted from the all-skip chain; raises
+def _phase1(prob: OccupancyProblem, tol: float) -> _Pivots:
+    """A primal-feasible pivot state pivoted from the all-skip chain; raises
     ``InfeasibleOccupancyError`` when `prob` has none.
 
     The all-skip chain (skip in states 1..m-1, bid 1 in state m) is
@@ -1058,28 +1041,32 @@ def _phase1(prob: OccupancyProblem, tol: float) -> _Start:
     Schur complement on the mass and budget rows has determinant
     1 + (m - 1) W_bid1.  Its masses q_m = 1 / (1 + (m - 1) W_bid1) and
     q_l = W_bid1 q_m are nonnegative, so only the slack, rho - P_bid1 q_m,
-    can be negative.  Phase 1 maximizes the slack from the chain on a twin
-    of `prob` whose budget is raised by the overspend, so that the chain is
-    a feasible start, as ``_simplex_loop`` assumes.  The slack never
-    leaves: a column entering at reduced cost d_j has the entry -d_j in its
-    row.  B^-1 e_budget is the slack's unit vector, so lowering the budget
-    back moves the slack alone: the final basis is feasible for `prob`
-    exactly when its slack is, which the loop's final split solves for.
-    """
+    can be negative.  Phase 1 maximizes the slack, which alone costs 1, on
+    a zero-reward twin of `prob` whose budget is raised by the overspend, so
+    that the chain is a feasible start, as ``_simplex_loop`` assumes.  The
+    slack never leaves: a column entering at reduced cost d_j has the entry
+    -d_j in its row.  B^-1 e_budget is the slack's unit vector, so lowering
+    the budget back moves the slack alone: the final basis is feasible for
+    `prob` exactly when its slack is, which the refactorization that
+    rebinds the state to `prob` solves for."""
     layout = basis_layout(prob, _chain_basis(prob, prob.skip_idx))
     x_b, factors = layout.chain.primal(prob, layout, np.inf)
-    twin = replace(prob, rho=prob.rho - x_b[-1])
-    layout, _, factors = _simplex_loop(twin, (layout, factors), phase1=True, tol=tol)
-    x_b = layout.chain.x_b(factors, prob.b)
-    slack = float(x_b[layout.ids.tolist().index(prob.slack_id)])
+    twin = replace(prob, rho=prob.rho - x_b[-1], r=np.zeros(prob.m))
+    pv = _Pivots(twin, layout, layout.chain.x_b(factors, twin.b), factors)
+    pv.cb[-1] = 1.0  # the chain's slack
+    _simplex_loop(pv, tol)
+    pv.prob = prob  # same B; the true budget and costs
+    pv.refactor()
+    pv.cb = _objective_coeffs(prob, pv.ids)
+    slack = float(pv.x_b[pv.ids.tolist().index(prob.slack_id)])
     if slack < -tol:
         raise InfeasibleOccupancyError(
             f"occupancy LP infeasible (residual {-slack:.3g}); "
             "bid1_at_m forces more spending than rho allows at this m"
         )
-    if x_b.min() < -tol:
+    if pv.x_b.min() < -tol:
         raise RuntimeError("phase 1 ended on a primal-infeasible basis")
-    return layout, factors
+    return pv
 
 
 def solve_occupancy_problem(
@@ -1092,17 +1079,16 @@ def solve_occupancy_problem(
 
     A start is a ``basis_layout`` or a sequence of ids.  A sequence of the
     wrong length or with an id out of range is skipped.  Each start is
-    checked by its ``ChainSplit``, and skipped when singular; the simplex
-    pivots from the factors of the check that accepted its start, so no
-    start is factored twice.  `starts[0]` (the most recent basis, for the
-    learner) serves the dual restart when it is nonsingular and no start is
-    primal feasible.  One dual restart bounds the cost of a miss.  The
-    solution's `start` is the index in `starts` of the basis it began from
-    by either route, -1 for a crash vertex or phase 1; its `layout` is the
-    final basis's, with its split.
+    checked by its ``ChainSplit``, skipped when singular, and no start is
+    factored twice.  `starts[0]` (the most recent basis, for the learner)
+    serves the dual restart when it is nonsingular and no start is primal
+    feasible.  One dual restart bounds the cost of a miss.  The solution's
+    `start` is the index in `starts` of the basis it began from by either
+    route, -1 for a crash vertex or phase 1; its x_B and `layout` are the
+    final basis's split's.
     """
-    start, used = None, -1
-    first = None  # starts[0] and its factors, when it may serve the dual restart
+    pv, used = None, -1
+    first = None  # starts[0]'s layout, x_B and factors, when it may serve the dual restart
     for i, layout in enumerate(starts):
         if not isinstance(layout, BasisLayout):
             if not _valid_ids(prob, layout):
@@ -1112,24 +1098,25 @@ def solve_occupancy_problem(
         if checked is None:  # singular; any x_B passes a tolerance of inf
             continue
         if checked[0].min() >= -_TOL:
-            start, used = (layout, checked[1]), i
+            pv, used = _Pivots(prob, layout, *checked), i
             break
         if i == 0:
-            first = (layout, checked[1])  # nonsingular but primal infeasible
-    if start is None and first is not None:
-        start = _dual_phase(prob, first, _TOL)
-        used = -1 if start is None else 0
-    if start is None:
+            first = (layout, *checked)  # nonsingular but primal infeasible
+    if pv is None and first is not None:
+        pv = _dual_phase(_Pivots(prob, *first), _TOL)
+        used = -1 if pv is None else 0
+    if pv is None:
         for candidate in _crash_bases(prob):
             layout = basis_layout(prob, candidate)
             checked = layout.chain.primal(prob, layout, _TOL)
             if checked is not None:
-                start = (layout, checked[1])
+                pv = _Pivots(prob, layout, *checked)
                 break
         else:
-            start = _phase1(prob, _TOL)
-    layout, x_b, _ = _simplex_loop(prob, start, phase1=False, tol=_TOL)
-    return _solution_from_basis(prob, layout, x_b, used)
+            pv = _phase1(prob, _TOL)
+    _simplex_loop(pv, _TOL)
+    layout, x_b, _ = _split(prob, pv.ids)
+    return _solution_from_basis(prob, layout, np.maximum(x_b, 0.0), used)
 
 
 # ---------------------------------------------------------------------------
@@ -1397,20 +1384,25 @@ def reach_probabilities(win_vec: np.ndarray) -> np.ndarray:
     return out
 
 
-def stationary(win_vec: np.ndarray) -> np.ndarray:
-    """Stationary distribution of the capped chain driven by win_vec.
-
-    pi_l = reach_l / L for l < m and pi_m = reach_m / (W_m L); W_m must be
-    positive, otherwise state m absorbs and no distribution exists."""
-    w = np.asarray(win_vec, dtype=float)
+def _renewal(w: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
+    """(reach, L, pi) of the chain driven by W with W_m > 0 (L as in
+    ``cycle_stats_wp``): pi_l = reach_l / L, but pi_m = reach_m / (W_m L)."""
     m = w.shape[0]
-    if w[m - 1] <= 0.0:
-        raise ValueError("degenerate chain: state-m win probability is zero")
     reach = reach_probabilities(w)
     length = float(np.sum(reach[: m - 1]) + reach[m - 1] / w[m - 1])
     pi = reach / length
     pi[m - 1] = reach[m - 1] / (w[m - 1] * length)
-    return pi
+    return reach, length, pi
+
+
+def stationary(win_vec: np.ndarray) -> np.ndarray:
+    """Stationary distribution of the capped chain driven by win_vec
+    (``_renewal``); W_m must be positive, otherwise state m absorbs and no
+    distribution exists."""
+    w = np.asarray(win_vec, dtype=float)
+    if w[-1] <= 0.0:
+        raise ValueError("degenerate chain: state-m win probability is zero")
+    return _renewal(w)[2]
 
 
 def cycle_stats_wp(
@@ -1435,14 +1427,11 @@ def cycle_stats_wp(
             reach = reach_probabilities(w)
             return CycleStats(m, math.inf, 0.0, 0.0, 0.0, 0.0, reach, None, degenerate=True)
         raise ValueError("degenerate chain: state m never converts but earlier states act")
-    reach = reach_probabilities(w)
-    length = float(np.sum(reach[: m - 1]) + reach[m - 1] / w[m - 1])
+    reach, length, pi = _renewal(w)
     r_m = np.array([eval_r_capped(reward, l, m) for l in range(0, m + 1)])
     increments = np.diff(r_m)
     reward_conv = float(np.dot(increments, reach))
     pay_conv = float(np.dot(p[: m - 1], reach[: m - 1]) + (p[m - 1] / w[m - 1]) * reach[m - 1])
-    pi = reach / length
-    pi[m - 1] = reach[m - 1] / (w[m - 1] * length)
     return CycleStats(
         m, length, reward_conv, pay_conv, reward_conv / length, pay_conv / length, reach, pi
     )

@@ -60,6 +60,8 @@ def cmd_simulate(args) -> int:
 def cmd_warmup_curve(args) -> int:
     if not 0.0 < args.rho_min <= args.rho_max <= 0.25:
         raise SystemExit("need 0 < rho-min <= rho-max <= 0.25")
+    if args.points < 1:
+        raise SystemExit("need --points >= 1")
     print("rho,ratio")
     for i in range(args.points):
         if args.points == 1:

@@ -4,18 +4,25 @@ pricing and the simplex's entering choices), and a basis matrix filled
 column by column with its inverse through one LU of the whole matrix (for
 the chain split)."""
 
+from dataclasses import replace
+
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs
 
 from spacing_auctions.benchmark import _pricing_terms, basis_layout
 
 
-def reduced_costs(prob, y, phase1):
+def zero_reward(prob):
+    """The twin of `prob` with every reward 0, as phase 1 prices."""
+    return replace(prob, r=np.zeros(prob.m))
+
+
+def reduced_costs(prob, y):
     """Reduced costs for every structural column plus the slack, in id
     order, each the float a W_i + beta - gamma P_i of ``_pricing_terms``."""
     m, n = prob.m, prob.n_actions
     w, p = prob.w, prob.p
-    a, beta, gamma = _pricing_terms(prob, y, phase1)
+    a, beta, gamma = _pricing_terms(prob, y)
     rows = m if not prob.bid1_at_m else m - 1
     out = np.empty(prob.n_cols + 1)
     D = out[: rows * n].reshape(rows, n)

@@ -66,7 +66,7 @@ from spacing_auctions.harness import random_market as harness_random_market
 from spacing_auctions.rewards import cap_linear_reward, sqrt_reward, table_reward
 from spacing_auctions.rng import SplitMix64
 from spacing_auctions.simplex import solve_lp
-from dense_pricing import basis_matrix, dense_inverse, reduced_costs
+from dense_pricing import basis_matrix, dense_inverse, reduced_costs, zero_reward
 
 
 def atoms_market(*tuples):
@@ -393,10 +393,10 @@ def split_check(prob, basis, primal_tol=np.inf):
 
 
 def checked_start(prob, basis):
-    """A start for the simplex loops: the layout of the nonsingular basis
-    ids and the factors of its split check."""
+    """A pivot state for the simplex loops on the nonsingular basis ids,
+    built from their layout and the x_B and factors of its split check."""
     layout = basis_layout(prob, basis)
-    return layout, layout.chain.primal(prob, layout, np.inf)[1]
+    return benchmark._Pivots(prob, layout, *layout.chain.primal(prob, layout, np.inf))
 
 
 def test_warm_start_from_stale_optimal_basis_reaches_crash_optimum():
@@ -497,7 +497,7 @@ def test_failed_dual_restart_falls_back_to_the_crash_vertex():
             values = split_check(prob, start)
             if values is None or values[0].min() >= -1e-9:
                 continue
-            if _dual_phase(prob, checked_start(prob, start), 1e-9) is not None:
+            if _dual_phase(checked_start(prob, start), 1e-9) is not None:
                 continue
             solved = solve_occupancy_problem(prob, starts=[start])
             assert solved.start == -1
@@ -546,21 +546,22 @@ def test_dual_phase_enters_the_slack_when_the_budget_loosens():
     prob = occupancy_problem((mus, w, p), sqrt_reward(), 1, 0.7, False)
     basis = [0, 1]
     assert split_check(prob, basis)[0].min() < -0.5
-    handed = _dual_phase(prob, checked_start(prob, basis), 1e-9)
-    assert handed is not None
-    assert handed[0].ids.tolist() == [0, prob.slack_id]
+    pv = checked_start(prob, basis)
+    handed = _dual_phase(pv, 1e-9)
+    assert handed is pv
+    assert handed.ids.tolist() == [0, prob.slack_id]
 
 
 # ---------------------------------------------------------------------------
 # threshold pricing
 
 
-def assert_threshold_pricing_matches_dense(prob, y, phase1):
+def assert_threshold_pricing_matches_dense(prob, y):
     """Each priced entry is the dense pass's float for its column, and the
     priced maximum is the dense maximum over every column; returns how many
     actions each state priced."""
-    actions, d = _threshold_pricing(prob, y, phase1)
-    dense = reduced_costs(prob, y, phase1)
+    actions, d = _threshold_pricing(prob, y)
+    dense = reduced_costs(prob, y)
     ids = actions + prob.state_base[:, None]
     assert d[:-1].tobytes() == dense[ids.ravel()].tobytes()
     assert d[-1] == dense[-1] == -y[-1]
@@ -575,8 +576,8 @@ GRID = (0.0, 0.1, 0.2, 0.25, 0.4, 0.5, 0.8, 1.0)
 def pricing_cases(draw):
     """A market on a coarse grid (tied ratios, p = 0 and c = 0 atoms, the
     free-conversion candidate, twins), a program on it with or without
-    forced bid-1, and duals: gamma = 0 and gamma < 0 come up, and so do
-    states with a <= 0."""
+    forced bid-1, or its zero-reward twin (phase 1's), and duals: gamma = 0
+    and gamma < 0 come up, and so do states with a <= 0."""
     atoms = draw(st.lists(
         st.tuples(st.sampled_from(GRID), st.sampled_from(GRID), st.integers(1, 4)),
         min_size=1, max_size=6))
@@ -588,15 +589,15 @@ def pricing_cases(draw):
         draw(st.booleans()))
     entry = st.one_of(st.sampled_from((0.0, 1.0, -1.0, 0.5)), st.floats(-4.0, 4.0))
     y = np.array(draw(st.lists(entry, min_size=prob.n_rows, max_size=prob.n_rows)))
-    return prob, y, draw(st.booleans())
+    return (zero_reward(prob) if draw(st.booleans()) else prob), y
 
 
 @settings(max_examples=400, deadline=None)
 @given(pricing_cases())
 def test_threshold_pricing_matches_dense_pricing(case):
-    prob, y, phase1 = case
+    prob, y = case
     assert prob.market_curves
-    assert assert_threshold_pricing_matches_dense(prob, y, phase1) == 5
+    assert assert_threshold_pricing_matches_dense(prob, y) == 5
 
 
 @pytest.mark.parametrize("bid1_at_m", [False, True])
@@ -620,14 +621,14 @@ def test_threshold_pricing_adversarial_duals(atoms, bid1_at_m):
             if m >= 2 and rng.uniform() < 0.3:
                 y[0] = -10.0  # a = r + y0 - yb <= 0 in most states
             y[-1] = (0.0, -0.3, y[-1], abs(y[-1]))[int(4 * rng.uniform())]
-            for phase1 in (False, True):
-                a = (np.zeros(m) if phase1 else prob.r) + (y[0] if m >= 2 else 0.0)
+            for problem in (prob, zero_reward(prob)):
+                a = problem.r + (y[0] if m >= 2 else 0.0)
                 a = a - np.append(y, 0.0)[prob._next_sel]
                 seen["a<=0"] += bool((a <= 0.0).any())
                 seen["gamma=0"] += y[-1] == 0.0
                 seen["gamma<0"] += y[-1] < 0.0
                 seen["threshold"] += bool(y[-1] > 0.0 and (a > 0.0).any())
-                assert_threshold_pricing_matches_dense(prob, y, phase1)
+                assert_threshold_pricing_matches_dense(problem, y)
         assert min(seen.values()) > 0, seen
 
 
@@ -643,11 +644,11 @@ def test_entering_column_resolves_twins_within_a_state_only(bid1_at_m):
     y = np.zeros(prob.n_rows)
     y[-1] = -5.0
     basic = np.zeros(prob.n_cols + 1, dtype=bool)
-    assert _entering_column(prob, y, basic, True, False, 1e-9) == prob.slack_id
+    assert _entering_column(zero_reward(prob), y, basic, False, 1e-9) == prob.slack_id
     y[-1], y[-2] = 0.0, -1.0
-    assert _entering_column(prob, y, basic, False, False, 1e-9) == 2 * n
+    assert _entering_column(prob, y, basic, False, 1e-9) == 2 * n
     basic[2 * n] = True
-    assert _entering_column(prob, y, basic, False, False, 1e-9) == (n if bid1_at_m else 2 * n + 1)
+    assert _entering_column(prob, y, basic, False, 1e-9) == (n if bid1_at_m else 2 * n + 1)
 
 
 @pytest.mark.parametrize("bid1_at_m", [False, True])
@@ -661,14 +662,14 @@ def test_bland_entering_column_is_the_first_nonbasic_id_above_tol(bid1_at_m):
     y = np.zeros(prob.n_rows)
     y[-2] = -1.0
     basic = np.zeros(prob.n_cols + 1, dtype=bool)
-    assert _entering_column(prob, y, basic, False, True, 1e-9) == 0
+    assert _entering_column(prob, y, basic, True, 1e-9) == 0
     basic[: 2 * n] = True
-    assert _entering_column(prob, y, basic, False, True, 1e-9) == 2 * n
+    assert _entering_column(prob, y, basic, True, 1e-9) == 2 * n
     basic[2 * n] = True
-    assert _entering_column(prob, y, basic, False, True, 1e-9) == (-1 if bid1_at_m else 2 * n + 1)
+    assert _entering_column(prob, y, basic, True, 1e-9) == (-1 if bid1_at_m else 2 * n + 1)
     basic[: prob.slack_id] = True
     y[-1] = -5.0
-    assert _entering_column(prob, y, basic, False, True, 1e-9) == prob.slack_id
+    assert _entering_column(prob, y, basic, True, 1e-9) == prob.slack_id
 
 
 def test_entering_column_takes_the_first_of_a_run_of_twins():
@@ -682,12 +683,12 @@ def test_entering_column_takes_the_first_of_a_run_of_twins():
     prob = occupancy_problem((mus, w, p), sqrt_reward(), 1, 0.3, False)
     assert prob.market_curves
     y = np.array([0.0, 0.5])
-    actions, _ = _threshold_pricing(prob, y, False)
+    actions, _ = _threshold_pricing(prob, y)
     assert 1 not in actions
     basic = np.zeros(prob.n_cols + 1, dtype=bool)
-    assert _entering_column(prob, y, basic, False, False, 1e-9) == 1
+    assert _entering_column(prob, y, basic, False, 1e-9) == 1
     basic[1] = True
-    assert _entering_column(prob, y, basic, False, False, 1e-9) == 2
+    assert _entering_column(prob, y, basic, False, 1e-9) == 2
 
 
 def problem_on(market, m, bid1_at_m, rho=0.3):
@@ -711,7 +712,7 @@ def test_threshold_pricing_prices_every_column_off_a_market():
             prob.p * (1 + 0.05 * noise[n:]))
         y = np.array([rng.uniform() - 0.5 for _ in range(prob.n_rows)])
         if not drifted.market_curves:
-            assert assert_threshold_pricing_matches_dense(drifted, y, False) == n
+            assert assert_threshold_pricing_matches_dense(drifted, y) == n
             off += 1
         # with_curves drops the verdict of the curves it replaces
         assert prob.with_curves(drifted.w, drifted.p).market_curves == drifted.market_curves
@@ -724,8 +725,8 @@ def test_threshold_pricing_prices_every_column_off_a_market():
     prob = occupancy_problem((mus, w, p), sqrt_reward(), 2, 0.3, False)
     assert not prob.market_curves
     y = np.array([-2.0, 0.0, -0.5])
-    assert np.argmax(reduced_costs(prob, y, False)) == 2
-    assert assert_threshold_pricing_matches_dense(prob, y, False) == prob.n_actions
+    assert np.argmax(reduced_costs(prob, y)) == 2
+    assert assert_threshold_pricing_matches_dense(prob, y) == prob.n_actions
     # the identity holds at every step, but P rises from action 2 to 3; at
     # a = sqrt(2) and y_budget = 0.05 the threshold is action 1, and state
     # 2's best column is action 3
@@ -735,8 +736,8 @@ def test_threshold_pricing_prices_every_column_off_a_market():
     prob = occupancy_problem((mus, w, p), sqrt_reward(), 2, 0.3, False)
     assert not prob.market_curves
     y = np.array([0.0, 0.0, 0.05])
-    assert np.argmax(reduced_costs(prob, y, False)) == prob.n_actions + 3
-    assert assert_threshold_pricing_matches_dense(prob, y, False) == prob.n_actions
+    assert np.argmax(reduced_costs(prob, y)) == prob.n_actions + 3
+    assert assert_threshold_pricing_matches_dense(prob, y) == prob.n_actions
 
 
 def random_bases(rng: SplitMix64, prob, sol):
@@ -775,7 +776,7 @@ def lu_factor_route(prob, ids, cb, primal_tol=1e-9, dual_tol=1e-9):
     y = sla.lu_solve((lu, piv), cb, trans=1, check_finite=False)
     if not np.all(np.isfinite(x_b)) or x_b.min() < -primal_tol:
         return None
-    d = reduced_costs(prob, y, phase1=False)
+    d = reduced_costs(prob, y)
     d[np.asarray(ids)] = -np.inf
     if d.max() > dual_tol:
         return None
@@ -946,7 +947,7 @@ def test_refactorizations_apply_the_singularity_rule(bid1_at_m):
         checked = layout.chain.primal(problem, layout, np.inf)
         assert (checked is not None) == regular
         if regular:
-            (_, factors), x_b = _split(problem, layout.ids)
+            _, x_b, factors = _split(problem, layout.ids)
             np.testing.assert_array_equal(x_b, checked[0])
             np.testing.assert_array_equal(factors[3], checked[1][3])
         else:
@@ -1070,37 +1071,67 @@ def test_uncovered_wide_market_bases_match_the_lu_route(monkeypatch):
 
 
 def test_loops_start_from_the_factors_of_the_check_that_accepted_them(monkeypatch):
-    # every start a simplex loop pivots from (a primal-feasible start, a
-    # dual restart's start and the basis it hands over, a crash vertex,
-    # phase 1's chain and its final basis) comes with the factors of the
-    # split that checked it, and the loop factors nothing to begin
-    made, starts, routes = [], [], {"dual": 0, "phase1": 0}
+    # a solve builds one pivot state, from the factors of the split that
+    # checked its start (a primal-feasible start, a dual restart's start, a
+    # crash vertex or phase 1's chain), and factors nothing to build it; a
+    # failed dual restart leaves its state for a crash vertex's.  The primal
+    # loop after a dual restart pivots the very state the dual phase
+    # returned, refactored once after its last dual pivot, and the primal
+    # loop after phase 1 the state phase 1 pivoted
+    made, built, solves = [], [], []
+    routes = {"dual": 0, "failed dual": 0, "phase1": 0}
     factor, pivots = ChainSplit.factor, benchmark._Pivots
-    dual, phase1 = benchmark._dual_phase, benchmark._phase1
+    dual, phase1, loop = benchmark._dual_phase, benchmark._phase1, benchmark._simplex_loop
+    handed, looped = [], []
 
     def recording_factor(self, prob, layout):
         made.append((layout, factor(self, prob, layout)))
         return made[-1][1]
 
     class Checked(pivots):
-        def __init__(self, prob, start, *args):
+        def __init__(self, prob, layout, x_b, factors):
             before = len(made)
-            super().__init__(prob, start, *args)
+            super().__init__(prob, layout, x_b, factors)
             assert len(made) == before
-            assert any(layout is start[0] and f is start[1] for layout, f in made)
-            starts.append(start)
+            assert any(l is layout and f is factors for l, f in made)
+            built.append(self)
+            self.events = []
 
-    def counting(route, fn):
-        def counted(*args):
-            got = fn(*args)
-            routes[route] += got is not None
-            return got
-        return counted
+        def refactor(self, clip=False):
+            super().refactor(clip)
+            self.events.append("refactor")
+
+        def pivot(self, *args):
+            super().pivot(*args)
+            self.events.append("pivot")
+
+    def recording_dual(pv, tol):
+        got = dual(pv, tol)
+        if got is not None:
+            assert got is pv
+            tail = pv.events[pv.events.index("pivot"):] if "pivot" in pv.events else pv.events
+            assert tail.count("refactor") == 1 and pv.events[-1] == "refactor"
+            handed.append((pv, len(pv.events)))
+        routes["dual" if got is not None else "failed dual"] += 1
+        return got
+
+    def recording_phase1(prob, tol):
+        got = phase1(prob, tol)
+        assert got is looped[-1] and got.prob is prob
+        routes["phase1"] += 1
+        return got
+
+    def recording_loop(pv, tol):
+        if handed and handed[-1][0] is pv:
+            assert len(pv.events) == handed.pop()[1]  # nothing since the handover
+        looped.append(pv)
+        loop(pv, tol)
 
     monkeypatch.setattr(ChainSplit, "factor", recording_factor)
     monkeypatch.setattr(benchmark, "_Pivots", Checked)
-    monkeypatch.setattr(benchmark, "_dual_phase", counting("dual", dual))
-    monkeypatch.setattr(benchmark, "_phase1", counting("phase1", phase1))
+    monkeypatch.setattr(benchmark, "_dual_phase", recording_dual)
+    monkeypatch.setattr(benchmark, "_phase1", recording_phase1)
+    monkeypatch.setattr(benchmark, "_simplex_loop", recording_loop)
     rng = SplitMix64(83)
     for _ in range(40):
         prob, sol, reward = random_problem(rng)
@@ -1108,11 +1139,19 @@ def test_loops_start_from_the_factors_of_the_check_that_accepted_them(monkeypatc
             moved = occupancy_problem(
                 (prob.mus, prob.w, prob.p), reward, prob.m, min(1.0, prob.rho * scale),
                 prob.bid1_at_m)
+            before = len(built), routes["phase1"], len(looped), routes["failed dual"]
             try:
                 solve_occupancy_problem(moved, starts=[sol.basis])
             except InfeasibleOccupancyError:
-                pass
-    assert len(starts) > 200 and routes["dual"] >= 20 and routes["phase1"] >= 3, routes
+                continue
+            states = built[before[0]:]
+            # one state, and a failed restart's before it
+            assert len(states) == 1 + routes["failed dual"] - before[3]
+            assert looped[-1] is states[-1]
+            assert len(looped) - before[2] == 1 + (routes["phase1"] - before[1])
+            solves.append(len(states))
+    assert not handed  # every handed state was pivoted by the primal loop next
+    assert len(solves) > 100 and routes["dual"] >= 20 and routes["phase1"] >= 3, routes
 
 
 def test_block_inverse_does_not_depend_on_blas_threads():

@@ -44,7 +44,7 @@ from spacing_auctions.market import (
 )
 from spacing_auctions.rewards import cap_linear_reward, sqrt_reward
 from spacing_auctions.rng import SplitMix64
-from dense_pricing import basis_matrix, dense_inverse, reduced_costs
+from dense_pricing import basis_matrix, dense_inverse, reduced_costs, zero_reward
 from test_benchmark import GRID, checked_start, problem_on, random_problem, split_check
 from test_fkors import wide_market
 
@@ -170,14 +170,14 @@ def dense_entering(monkeypatch):
     choices = []
     entering = benchmark._entering_column
 
-    def checked(prob, y, basic, phase1, bland, tol):
-        d = reduced_costs(prob, y, phase1)
+    def checked(prob, y, basic, bland, tol):
+        d = reduced_costs(prob, y)
         d[basic] = -np.inf
         above = np.flatnonzero(d > tol)
         dantzig = int(np.argmax(d)) if above.size else -1
         first = int(above[0]) if above.size else -1
-        assert entering(prob, y, basic, phase1, False, tol) == dantzig
-        assert entering(prob, y, basic, phase1, True, tol) == first
+        assert entering(prob, y, basic, False, tol) == dantzig
+        assert entering(prob, y, basic, True, tol) == first
         choices.append(bland)
         return first if bland else dantzig
 
@@ -210,19 +210,20 @@ def test_entering_columns_are_the_dense_choice_on_random_markets(dense_entering)
 
 def full_width_dual_phase(prob, basis, tol):
     """Reference dual phase that prices every column: the pivot row through
-    the pricing identity A^T z = -reduced_costs(z, phase1) and reduced costs
-    carried across pivots, clipped at zero."""
+    the pricing identity A^T z = -reduced_costs(zero_reward(prob), z) and
+    reduced costs carried across pivots, clipped at zero."""
     B = basis_matrix(prob, basis)
     b_inv = dense_inverse(B)
     x_b = b_inv @ prob.b
     basic = np.zeros(prob.n_cols + 1, dtype=bool)
     basic[basis] = True
-    d = np.minimum(reduced_costs(prob, b_inv.T @ _objective_coeffs(prob, basis), False), 0.0)
+    d = np.minimum(reduced_costs(prob, b_inv.T @ _objective_coeffs(prob, basis)), 0.0)
+    zero = zero_reward(prob)
     for _ in range(4 * prob.n_rows):
         leave = int(np.argmin(x_b))
         if x_b[leave] >= -tol:
             return split_check(prob, basis, tol) is not None
-        row = -reduced_costs(prob, b_inv[leave], phase1=True)
+        row = -reduced_costs(zero, b_inv[leave])
         cand = np.nonzero((row < -1e-9) & ~basic)[0]
         if cand.size == 0:
             return False
@@ -257,7 +258,7 @@ def test_neighbour_pricing_keeps_the_restarts_full_pricing_makes(captured):
             continue
         ok = full_width_dual_phase(prob, list(starts[0]), 1e-9)
         full += ok
-        neighbour += ok and _dual_phase(prob, checked_start(prob, starts[0]), 1e-9) is not None
+        neighbour += ok and _dual_phase(checked_start(prob, starts[0]), 1e-9) is not None
     print(f"{neighbour} of {full} restarts")
     assert full >= 20
     assert neighbour >= 0.95 * full
@@ -274,7 +275,7 @@ def test_a_start_whose_entering_column_is_no_neighbour_falls_back_to_a_crash_ver
     start = [2, prob.n_actions + 2, prob.slack_id]
     assert split_check(prob, start)[0].min() < -0.1
     assert full_width_dual_phase(prob, list(start), 1e-9)
-    assert _dual_phase(prob, checked_start(prob, start), 1e-9) is None
+    assert _dual_phase(checked_start(prob, start), 1e-9) is None
     assert split_check(prob, _crash_bases(prob)[0], 1e-9) is not None
     sol = solve_occupancy_problem(prob, starts=[start])
     assert sol.start == -1

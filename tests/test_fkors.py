@@ -583,9 +583,9 @@ def test_each_cached_basis_is_derived_once(monkeypatch):
 
 def test_miss_starts_are_screened_without_a_basis_matrix(monkeypatch):
     # the planner hands its cached layouts to the solver, which screens
-    # them by their chain split; a simplex loop fills its basis matrix B
-    # once, from the start it pivots from: the primal loop once per solve
-    # and the dual phase once per restart, and no screened start is filled
+    # them by their chain split; a solve fills its basis matrix B once, in
+    # its one pivot state, which a dual restart hands to the primal loop,
+    # and no screened start is filled
     fills, restarts, solves = [], [], []
     pivots, dual = benchmark._Pivots, benchmark._dual_phase
     solve = fkors.solve_occupancy_problem
@@ -607,8 +607,8 @@ def test_miss_starts_are_screened_without_a_basis_matrix(monkeypatch):
     (rec,) = wide_runs((1,))
     assert len(solves) == rec.config["cold_solves"] == 46
     assert sum(n_starts for n_starts, _, _ in solves) > 200
-    assert all(n_fills <= 1 + n_restarts for _, n_fills, n_restarts in solves)
-    assert len(fills) == len(solves) + len(restarts) and len(restarts) > 10
+    assert all(n_fills == 1 for _, n_fills, _ in solves)
+    assert len(fills) == len(solves) and len(restarts) > 10
 
 
 def test_wide_market_cleanup_after_dual_restart_passes_over_tiny_pivots():

@@ -192,6 +192,13 @@ def test_cli_warmup_curve(capsys):
     assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_cli_warmup_curve_rejects_fewer_than_one_point(points, capsys):
+    with pytest.raises(SystemExit, match="points"):
+        cli_main(["warmup-curve", "--points", points])
+    assert capsys.readouterr().out == ""
+
+
 def test_cli_bench(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(
